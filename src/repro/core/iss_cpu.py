@@ -55,6 +55,13 @@ class IssCpu(Processor):
         self.num_user_breakpoints = 0
         self.debug_break_enabled = False
 
+    @property
+    def host_now_ns(self) -> float:
+        """This core's modeled host clock.  The ISS runs on the simulation
+        thread rather than a vcpu thread of its own, so its clock is the
+        host time the DBT cost model has charged it so far."""
+        return self.cost_model.total_ns
+
     def on_interrupt(self, number: int, level: bool) -> None:
         self.executor.set_irq(level)
 

@@ -79,11 +79,16 @@ class MemorySlot(NamedTuple):
         return self.guest_base <= address and address + length - 1 <= self.guest_end
 
 
+#: an MRU entry no access can hit (base above end)
+_NO_SLOT = (1, 0, None)
+
+
 class GuestMemoryMap:
     """Guest-physical address space: RAM slots + implicit MMIO elsewhere."""
 
     def __init__(self):
         self._slots: List[MemorySlot] = []
+        self._mru = _NO_SLOT     # most recently used slot: (base, end, slot)
 
     def add_slot(self, guest_base: int, memory: memoryview) -> MemorySlot:
         slot = MemorySlot(guest_base, memory)
@@ -94,20 +99,32 @@ class GuestMemoryMap:
                     f"[0x{existing.guest_base:x}, 0x{existing.guest_end:x}]"
                 )
         self._slots.append(slot)
+        self._mru = _NO_SLOT
         return slot
 
     def remove_slot(self, guest_base: int) -> bool:
         for index, slot in enumerate(self._slots):
             if slot.guest_base == guest_base:
                 del self._slots[index]
+                self._mru = _NO_SLOT
                 return True
         return False
 
     def find(self, address: int, length: int = 1) -> Optional[MemorySlot]:
+        base, end, slot = self._mru
+        if base <= address and address + length <= end:
+            return slot
         for slot in self._slots:
             if slot.contains(address, length):
+                self._mru = (slot.guest_base, slot.guest_base + slot.size, slot)
                 return slot
         return None
+
+    def lookup(self, address: int, length: int = 1) -> Optional[Tuple[memoryview, int]]:
+        """``(RAM view, offset)`` for ``[address, address + length)``, or None
+        for MMIO.  Inside a parallel leg, enter the shared section first."""
+        slot = self.find(address, length)
+        return None if slot is None else (slot.memory, address - slot.guest_base)
 
     def is_ram(self, address: int, length: int = 1) -> bool:
         return self.find(address, length) is not None

@@ -15,7 +15,9 @@ and lets the next ``run`` continue.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+import operator
+import struct
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..arch.exceptions import (
     ExceptionClass,
@@ -24,12 +26,17 @@ from ..arch.exceptions import (
     take_irq,
     take_sync_exception,
 )
-from ..arch.isa import BLOCK_TERMINATORS, Cond, DecodeError, Instruction, Op, SysReg, decode
+from ..arch.isa import BLOCK_TERMINATORS, DecodeError, Instruction, Op, SysReg, decode
 from ..arch.mmu import Mmu
 from ..arch.registers import MASK64, CpuState
+from ..systemc.kernel import enter_shared_section
 from .executor import ExitInfo, ExitReason, GuestMemoryMap, MmioRequest, RunStats
 
-_SIZE = {Op.LDR: 8, Op.STR: 8, Op.LDRW: 4, Op.STRW: 4, Op.LDRB: 1, Op.STRB: 1}
+_SCTLR = int(SysReg.SCTLR_EL1)
+_FORMATS = {1: "<B", 4: "<I", 8: "<Q"}
+_UNPACK = {size: struct.Struct(fmt).unpack_from for size, fmt in _FORMATS.items()}
+_PACK = {size: struct.Struct(fmt).pack_into for size, fmt in _FORMATS.items()}
+_FETCH = _UNPACK[4]
 
 #: System registers EL0 is allowed to touch.
 _EL0_SYSREGS = {
@@ -103,7 +110,7 @@ class Interpreter:
         self.unsupported_ops: Set[Op] = set()
         self.irq_line = False
         self._pending_mmio: Optional[MmioRequest] = None
-        self._decode_cache: Dict[int, Tuple[int, Instruction]] = {}
+        self._decode_cache: Dict[int, Tuple[int, Instruction, Handler, bool]] = {}
         self._skip_breakpoint_pc: Optional[int] = None
         self._fault_streak = 0
         # Event counters (monotonic; cost models sample deltas).
@@ -186,13 +193,12 @@ class Interpreter:
         }
 
     def restore_state(self, state: dict) -> None:
-        from ..arch.isa import Op as _Op
         self.state.restore(state["cpu"])
         self.state.exclusive_addr = state["exclusive_addr"]
         self.state.exclusive_valid = bool(state["exclusive_valid"])
         self.state.halted = bool(state["halted"])
         self.breakpoints = set(state["breakpoints"])
-        self.unsupported_ops = {_Op(value) for value in state["unsupported_ops"]}
+        self.unsupported_ops = {Op(value) for value in state["unsupported_ops"]}
         self.irq_line = bool(state["irq_line"])
         pending = state["pending_mmio"]
         self._pending_mmio = None if pending is None else MmioRequest(
@@ -224,6 +230,13 @@ class Interpreter:
         state = self.state
         if state.halted:
             return ExitInfo(ExitReason.HALT, 0, state.pc)
+        # Guest RAM is shared by every core.  Inside a parallel simulate leg
+        # this takes the lane-ordered commit token, which is then held until
+        # the leg ends, so one call covers every fetch, load and store below.
+        enter_shared_section()
+        fetch = self._fetch
+        breakpoints = self.breakpoints
+        unsupported = self.unsupported_ops
         executed = 0
         while executed < max_instructions:
             # Interrupts are delivered between instructions — but not while
@@ -236,12 +249,12 @@ class Interpreter:
                 self.exceptions += 1
                 self._block_start = True
             pc = state.pc
-            if pc in self.breakpoints and pc != self._skip_breakpoint_pc:
+            if pc in breakpoints and pc != self._skip_breakpoint_pc:
                 self._skip_breakpoint_pc = pc
                 return ExitInfo(ExitReason.BREAKPOINT, executed, pc)
             try:
-                inst = self._fetch(pc)
-                if inst.op in self.unsupported_ops:
+                _word, inst, handler, ends_block = fetch(pc)
+                if unsupported and inst.op in unsupported:
                     # The host CPU traps this instruction (illegal-opcode
                     # exit); the hypervisor's user space must emulate it.
                     return ExitInfo(ExitReason.EMULATION, executed, pc)
@@ -251,7 +264,7 @@ class Interpreter:
                         self._known_blocks.add(pc)
                         self.new_blocks += 1
                     self._block_start = False
-                self._exec(inst, pc)
+                state.pc = handler(self, inst, pc)
             except GuestFault as fault:
                 try:
                     self._deliver_fault(fault, pc)
@@ -279,7 +292,7 @@ class Interpreter:
             self._fault_streak = 0
             executed += 1
             state.instret += 1
-            if inst.op in BLOCK_TERMINATORS:
+            if ends_block:
                 self._block_start = True
         return ExitInfo(ExitReason.BUDGET, executed, state.pc)
 
@@ -294,9 +307,10 @@ class Interpreter:
             raise RuntimeError("MMIO in flight; complete it before emulating")
         state = self.state
         pc = state.pc
+        enter_shared_section()
         try:
-            inst = self._fetch(pc)
-            self._exec(inst, pc)
+            _word, inst, handler, _ends_block = self._fetch(pc)
+            state.pc = handler(self, inst, pc)
         except GuestFault as fault:
             self._deliver_fault(fault, pc)
             return ExitInfo(ExitReason.BUDGET, 0, state.pc)
@@ -347,242 +361,37 @@ class Interpreter:
                             return_pc=return_pc)
 
     # -- fetch ------------------------------------------------------------------------
-    def _fetch(self, pc: int) -> Instruction:
-        pa = self.mmu.translate(pc, fetch=True)
-        if not self.memory.is_ram(pa, 4):
+    def _fetch(self, pc: int) -> Tuple[int, Instruction, Handler, bool]:
+        """The decode-cache entry ``(word, inst, handler, ends_block)`` at ``pc``.
+        A hit still re-reads the word from RAM: rewritten code re-decodes."""
+        pa = (self.mmu.translate(pc, fetch=True)
+              if self.state.sysregs.get(_SCTLR, 0) & 1 else pc)
+        hit = self.memory.lookup(pa, 4)
+        if hit is None:
             raise GuestFault(ExceptionClass.INSTRUCTION_ABORT, iss=0x10, fault_address=pc,
                              message=f"instruction fetch from MMIO at 0x{pc:x}")
-        word = int.from_bytes(self.memory.read(pa, 4), "little")
-        cached = self._decode_cache.get(pa)
-        if cached is not None and cached[0] == word:
-            return cached[1]
+        word = _FETCH(*hit)[0]
+        entry = self._decode_cache.get(pa)
+        if entry is not None and entry[0] == word:
+            return entry
         try:
             inst = decode(word)
         except DecodeError:
             raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
                              message=f"undecodable word {word:#010x} at 0x{pc:x}") from None
-        self._decode_cache[pa] = (word, inst)
-        return inst
+        entry = (word, inst, _HANDLERS[inst.op], inst.op in BLOCK_TERMINATORS)
+        self._decode_cache[pa] = entry
+        return entry
 
-    # -- data memory ----------------------------------------------------------------------
-    def _load(self, va: int, size: int, register: int) -> int:
+    def _exclusive_pa(self, va: int, write: bool) -> Tuple[int, memoryview, int]:
         self.memory_ops += 1
-        pa = self.mmu.translate(va, write=False)
-        if self.memory.is_ram(pa, size):
-            return int.from_bytes(self.memory.read(pa, size), "little")
-        raise _Exit(ExitReason.MMIO,
-                    mmio=MmioRequest(pa, size, False, None, register))
-
-    def _store(self, va: int, size: int, value: int) -> None:
-        self.memory_ops += 1
-        pa = self.mmu.translate(va, write=True)
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if self.memory.is_ram(pa, size):
-            self.memory.write(pa, data)
-            self.monitor.on_store(pa, size, self.state.core_id)
-            return
-        raise _Exit(ExitReason.MMIO,
-                    mmio=MmioRequest(pa, size, True, data, 0))
-
-    # -- flags ---------------------------------------------------------------------------------
-    def _set_flags_sub(self, a: int, b: int) -> None:
-        result = (a - b) & MASK64
-        signed_a = a - (1 << 64) if a >> 63 else a
-        signed_b = b - (1 << 64) if b >> 63 else b
-        signed_r = signed_a - signed_b
-        self.state.set_nzcv(
-            n=bool(result >> 63),
-            z=result == 0,
-            c=a >= b,
-            v=not (-(1 << 63) <= signed_r < (1 << 63)),
-        )
-
-    def _cond_holds(self, cond: Cond) -> bool:
-        s = self.state
-        if cond is Cond.EQ:
-            return s.flag_z
-        if cond is Cond.NE:
-            return not s.flag_z
-        if cond is Cond.HS:
-            return s.flag_c
-        if cond is Cond.LO:
-            return not s.flag_c
-        if cond is Cond.MI:
-            return s.flag_n
-        if cond is Cond.PL:
-            return not s.flag_n
-        if cond is Cond.VS:
-            return s.flag_v
-        if cond is Cond.VC:
-            return not s.flag_v
-        if cond is Cond.HI:
-            return s.flag_c and not s.flag_z
-        if cond is Cond.LS:
-            return not s.flag_c or s.flag_z
-        if cond is Cond.GE:
-            return s.flag_n == s.flag_v
-        if cond is Cond.LT:
-            return s.flag_n != s.flag_v
-        if cond is Cond.GT:
-            return not s.flag_z and s.flag_n == s.flag_v
-        if cond is Cond.LE:
-            return s.flag_z or s.flag_n != s.flag_v
-        return True  # AL
-
-    # -- execute -----------------------------------------------------------------------------------
-    def _exec(self, inst: Instruction, pc: int) -> None:
-        state = self.state
-        regs = state.regs
-        op = inst.op
-        next_pc = (pc + 4) & MASK64
-
-        if op is Op.NOP or op is Op.DMB or op is Op.YIELD:
-            pass
-        elif op is Op.MOVZ:
-            regs[inst.rd] = (inst.imm << (16 * inst.rm)) & MASK64
-        elif op is Op.MOVK:
-            shift = 16 * inst.rm
-            regs[inst.rd] = (regs[inst.rd] & ~(0xFFFF << shift) | (inst.imm << shift)) & MASK64
-        elif op is Op.ADDI:
-            regs[inst.rd] = (regs[inst.rn] + inst.imm) & MASK64
-        elif op is Op.SUBI:
-            regs[inst.rd] = (regs[inst.rn] - inst.imm) & MASK64
-        elif op is Op.ADD:
-            regs[inst.rd] = (regs[inst.rn] + regs[inst.rm]) & MASK64
-        elif op is Op.SUB:
-            regs[inst.rd] = (regs[inst.rn] - regs[inst.rm]) & MASK64
-        elif op is Op.MUL:
-            regs[inst.rd] = (regs[inst.rn] * regs[inst.rm]) & MASK64
-        elif op is Op.UDIV:
-            divisor = regs[inst.rm]
-            regs[inst.rd] = 0 if divisor == 0 else regs[inst.rn] // divisor
-        elif op is Op.UREM:
-            divisor = regs[inst.rm]
-            regs[inst.rd] = regs[inst.rn] if divisor == 0 else regs[inst.rn] % divisor
-        elif op is Op.AND:
-            regs[inst.rd] = regs[inst.rn] & regs[inst.rm]
-        elif op is Op.ORR:
-            regs[inst.rd] = regs[inst.rn] | regs[inst.rm]
-        elif op is Op.EOR:
-            regs[inst.rd] = regs[inst.rn] ^ regs[inst.rm]
-        elif op is Op.ANDI:
-            regs[inst.rd] = regs[inst.rn] & inst.imm
-        elif op is Op.ORRI:
-            regs[inst.rd] = regs[inst.rn] | inst.imm
-        elif op is Op.EORI:
-            regs[inst.rd] = regs[inst.rn] ^ inst.imm
-        elif op is Op.LSLI:
-            regs[inst.rd] = (regs[inst.rn] << inst.imm) & MASK64
-        elif op is Op.LSRI:
-            regs[inst.rd] = regs[inst.rn] >> inst.imm
-        elif op is Op.ASRI:
-            value = regs[inst.rn]
-            if value >> 63:
-                value -= 1 << 64
-            regs[inst.rd] = (value >> inst.imm) & MASK64
-        elif op is Op.CMP:
-            self._set_flags_sub(regs[inst.rn], regs[inst.rm])
-        elif op is Op.CMPI:
-            self._set_flags_sub(regs[inst.rn], inst.imm)
-        elif op is Op.MOV:
-            regs[inst.rd] = regs[inst.rn]
-        elif op in _SIZE:
-            size = _SIZE[op]
-            va = (regs[inst.rn] + inst.imm) & MASK64
-            if op in (Op.LDR, Op.LDRW, Op.LDRB):
-                regs[inst.rd] = self._load(va, size, inst.rd)
-            else:
-                self._store(va, size, regs[inst.rd])
-        elif op is Op.LDXR:
-            va = regs[inst.rn] & MASK64
-            self.memory_ops += 1
-            pa = self.mmu.translate(va, write=False)
-            if not self.memory.is_ram(pa, 8):
-                raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
-                                 message=f"exclusive load from MMIO at 0x{va:x}")
-            regs[inst.rd] = int.from_bytes(self.memory.read(pa, 8), "little")
-            self.monitor.mark(state.core_id, pa)
-            state.set_exclusive(pa)
-        elif op is Op.STXR:
-            va = regs[inst.rn] & MASK64
-            self.memory_ops += 1
-            pa = self.mmu.translate(va, write=True)
-            if not self.memory.is_ram(pa, 8):
-                raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
-                                 message=f"exclusive store to MMIO at 0x{va:x}")
-            if state.check_exclusive(pa) and self.monitor.check(state.core_id, pa):
-                self.memory.write(pa, regs[inst.rm].to_bytes(8, "little"))
-                self.monitor.on_store(pa, 8, state.core_id)
-                regs[inst.rd] = 0
-            else:
-                regs[inst.rd] = 1
-            state.clear_exclusive()
-            self.monitor.clear(state.core_id)
-        elif op is Op.B:
-            next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.BL:
-            regs[30] = next_pc
-            next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.BCOND:
-            if self._cond_holds(inst.cond):
-                next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.CBZ:
-            if regs[inst.rd] == 0:
-                next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.CBNZ:
-            if regs[inst.rd] != 0:
-                next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.BR:
-            next_pc = regs[inst.rn]
-        elif op is Op.RET:
-            next_pc = regs[inst.rn]
-        elif op is Op.ADR:
-            regs[inst.rd] = (pc + inst.imm) & MASK64
-        elif op is Op.SVC:
-            raise GuestFault(ExceptionClass.SVC, iss=inst.imm,
-                             message=f"svc #{inst.imm}")
-        elif op is Op.BRK:
-            raise GuestFault(ExceptionClass.BRK, iss=inst.imm,
-                             message=f"brk #{inst.imm}")
-        elif op is Op.UDF:
-            raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
-                             message=f"undefined instruction at 0x{pc:x}")
-        elif op is Op.ERET:
-            do_eret(state)
-            return
-        elif op is Op.MRS:
-            self._check_sysreg_access(inst.imm, pc)
-            if inst.imm == SysReg.CNTVCT_EL0:
-                regs[inst.rd] = state.instret & MASK64
-            else:
-                regs[inst.rd] = state.read_sysreg(inst.imm)
-        elif op is Op.MSR:
-            self._check_sysreg_access(inst.imm, pc)
-            state.write_sysreg(inst.imm, regs[inst.rn])
-            if inst.imm in (SysReg.SCTLR_EL1, SysReg.TTBR0_EL1):
-                self.mmu.flush_tlb()
-                self._decode_cache.clear()
-        elif op is Op.MSRI:
-            if inst.rm:  # DAIFSet
-                state.daif |= inst.imm
-            else:        # DAIFClr
-                state.daif &= ~inst.imm
-        elif op is Op.WFI:
-            if state.el == 0:
-                # Linux traps EL0 WFI; treat as NOP for user space here.
-                pass
-            elif self.irq_line:
-                pass  # pending interrupt: WFI falls through immediately
-            else:
-                state.pc = next_pc
-                raise _Exit(ExitReason.WFI)
-        elif op is Op.HLT:
-            state.pc = next_pc
-            raise _Exit(ExitReason.HALT, halt_code=inst.imm)
-        else:  # pragma: no cover - decode() can't produce other ops
-            raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
-                             message=f"unimplemented opcode {op!r}")
-        state.pc = next_pc
+        pa = self.mmu.translate(va, write=write)
+        hit = self.memory.lookup(pa, 8)
+        if hit is None:
+            kind = "store to" if write else "load from"
+            raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
+                             message=f"exclusive {kind} MMIO at 0x{va:x}")
+        return (pa,) + hit
 
     def _check_sysreg_access(self, reg: int, pc: int) -> None:
         if self.state.el == 0 and reg not in _EL0_SYSREGS:
@@ -597,3 +406,232 @@ class _ExitErrorLoop(Exception):
         self.pc = pc
         self.fault = fault
         super().__init__(f"fault loop at pc=0x{pc:x}: {fault}")
+
+
+# -- instruction handlers ---------------------------------------------------------------
+# Each handler performs one instruction's architectural effect and returns
+# the next PC.  A fault or MMIO exit raises before the PC or any register
+# moves; WFI and HLT retire, so they set the PC before raising their exit.
+
+Handler = Callable[[Interpreter, Instruction, int], int]
+
+
+def _alu(fn: Callable[[int, int], int], immediate: bool) -> Handler:
+    """``rd = fn(xn, imm)`` or ``rd = fn(xn, xm)``."""
+    def handler(cpu, inst, pc):
+        regs = cpu.state.regs
+        regs[inst.rd] = fn(regs[inst.rn], inst.imm if immediate else regs[inst.rm])
+        return (pc + 4) & MASK64
+    return handler
+
+
+def _compare(immediate: bool) -> Handler:
+    """CMP / CMPI: set NZCV from ``xn - (imm or xm)``."""
+    def handler(cpu, inst, pc):
+        state = cpu.state
+        a = state.regs[inst.rn]
+        b = inst.imm if immediate else state.regs[inst.rm]
+        result = (a - b) & MASK64
+        state.flag_n, state.flag_z = result >> 63 == 1, result == 0
+        state.flag_c, state.flag_v = a >= b, ((a ^ b) & (a ^ result)) >> 63 == 1
+        return (pc + 4) & MASK64
+    return handler
+
+
+def _load(size: int) -> Handler:
+    """``rd = [xn + imm]``, zero-extended; MMIO exits before retiring."""
+    unpack = _UNPACK[size]
+
+    def handler(cpu, inst, pc):
+        state = cpu.state
+        va = (state.regs[inst.rn] + inst.imm) & MASK64
+        cpu.memory_ops += 1
+        pa = cpu.mmu.translate(va) if state.sysregs.get(_SCTLR, 0) & 1 else va
+        hit = cpu.memory.lookup(pa, size)
+        if hit is None:
+            raise _Exit(ExitReason.MMIO, mmio=MmioRequest(pa, size, False, None, inst.rd))
+        state.regs[inst.rd] = unpack(*hit)[0]
+        return (pc + 4) & MASK64
+    return handler
+
+
+def _store(size: int) -> Handler:
+    """``[xn + imm] = rd``, truncated; MMIO exits before retiring."""
+    pack, mask = _PACK[size], (1 << (8 * size)) - 1
+
+    def handler(cpu, inst, pc):
+        state = cpu.state
+        va = (state.regs[inst.rn] + inst.imm) & MASK64
+        cpu.memory_ops += 1
+        pa = cpu.mmu.translate(va, write=True) if state.sysregs.get(_SCTLR, 0) & 1 else va
+        value = state.regs[inst.rd] & mask
+        hit = cpu.memory.lookup(pa, size)
+        if hit is None:
+            raise _Exit(ExitReason.MMIO, mmio=MmioRequest(
+                pa, size, True, value.to_bytes(size, "little"), 0))
+        pack(*hit, value)
+        cpu.monitor.on_store(pa, size, state.core_id)
+        return (pc + 4) & MASK64
+    return handler
+
+
+def _ldxr(cpu, inst, pc):
+    state = cpu.state
+    pa, view, offset = cpu._exclusive_pa(state.regs[inst.rn], write=False)
+    state.regs[inst.rd] = _UNPACK[8](view, offset)[0]
+    cpu.monitor.mark(state.core_id, pa)
+    state.set_exclusive(pa)
+    return (pc + 4) & MASK64
+
+
+def _stxr(cpu, inst, pc):
+    state, regs = cpu.state, cpu.state.regs
+    pa, view, offset = cpu._exclusive_pa(regs[inst.rn], write=True)
+    if state.check_exclusive(pa) and cpu.monitor.check(state.core_id, pa):
+        _PACK[8](view, offset, regs[inst.rm])
+        cpu.monitor.on_store(pa, 8, state.core_id)
+        regs[inst.rd] = 0
+    else:
+        regs[inst.rd] = 1
+    state.clear_exclusive()
+    cpu.monitor.clear(state.core_id)
+    return (pc + 4) & MASK64
+
+
+#: ARM condition codes come in pairs: ``cond = 2 * base + negate``
+_CONDITION_BASES = (
+    lambda s: s.flag_z,                                 # EQ / NE
+    lambda s: s.flag_c,                                 # HS / LO
+    lambda s: s.flag_n,                                 # MI / PL
+    lambda s: s.flag_v,                                 # VS / VC
+    lambda s: s.flag_c and not s.flag_z,                # HI / LS
+    lambda s: s.flag_n == s.flag_v,                     # GE / LT
+    lambda s: not s.flag_z and s.flag_n == s.flag_v,    # GT / LE
+    lambda s: True,                                     # AL
+)
+
+
+def _bcond(cpu, inst, pc):
+    if _CONDITION_BASES[inst.cond >> 1](cpu.state) != (inst.cond & 1):
+        return (pc + 4 * inst.imm) & MASK64
+    return (pc + 4) & MASK64
+
+
+def _compare_branch(on_zero: bool) -> Handler:
+    """CBZ / CBNZ: branch by ``imm`` words when ``rd`` is (non)zero."""
+    def handler(cpu, inst, pc):
+        if (cpu.state.regs[inst.rd] == 0) is on_zero:
+            return (pc + 4 * inst.imm) & MASK64
+        return (pc + 4) & MASK64
+    return handler
+
+
+def _bl(cpu, inst, pc):
+    cpu.state.regs[30] = (pc + 4) & MASK64
+    return (pc + 4 * inst.imm) & MASK64
+
+
+def _movz(cpu, inst, pc):
+    cpu.state.regs[inst.rd] = (inst.imm << (16 * inst.rm)) & MASK64
+    return (pc + 4) & MASK64
+
+
+def _movk(cpu, inst, pc):
+    regs, shift = cpu.state.regs, 16 * inst.rm
+    regs[inst.rd] = (regs[inst.rd] & ~(0xFFFF << shift) | (inst.imm << shift)) & MASK64
+    return (pc + 4) & MASK64
+
+
+def _adr(cpu, inst, pc):
+    cpu.state.regs[inst.rd] = (pc + inst.imm) & MASK64
+    return (pc + 4) & MASK64
+
+
+def _trap(ec: ExceptionClass, mnemonic: str) -> Handler:
+    def handler(cpu, inst, pc):
+        raise GuestFault(ec, iss=inst.imm, message=f"{mnemonic} #{inst.imm}")
+    return handler
+
+
+def _udf(cpu, inst, pc):
+    raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
+                     message=f"undefined instruction at 0x{pc:x}")
+
+
+def _eret(cpu, inst, pc):
+    do_eret(cpu.state)
+    return cpu.state.pc
+
+
+def _mrs(cpu, inst, pc):
+    cpu._check_sysreg_access(inst.imm, pc)
+    state = cpu.state
+    state.regs[inst.rd] = (state.instret & MASK64 if inst.imm == SysReg.CNTVCT_EL0
+                           else state.read_sysreg(inst.imm))
+    return (pc + 4) & MASK64
+
+
+def _msr(cpu, inst, pc):
+    cpu._check_sysreg_access(inst.imm, pc)
+    cpu.state.write_sysreg(inst.imm, cpu.state.regs[inst.rn])
+    if inst.imm in (SysReg.SCTLR_EL1, SysReg.TTBR0_EL1):
+        cpu.mmu.flush_tlb()
+        cpu._decode_cache.clear()
+    return (pc + 4) & MASK64
+
+
+def _msri(cpu, inst, pc):
+    state = cpu.state  # rm selects DAIFSet over DAIFClr
+    state.daif = state.daif | inst.imm if inst.rm else state.daif & ~inst.imm
+    return (pc + 4) & MASK64
+
+
+def _wfi(cpu, inst, pc):
+    # A NOP at EL0 (Linux traps it) or with an interrupt already pending.
+    if cpu.state.el != 0 and not cpu.irq_line:
+        cpu.state.pc = (pc + 4) & MASK64
+        raise _Exit(ExitReason.WFI)
+    return (pc + 4) & MASK64
+
+
+def _hlt(cpu, inst, pc):
+    cpu.state.pc = (pc + 4) & MASK64
+    raise _Exit(ExitReason.HALT, halt_code=inst.imm)
+
+
+def _nop(cpu, inst, pc):
+    return (pc + 4) & MASK64
+
+
+#: the dispatch table: a handler for every opcode :func:`decode` produces
+_HANDLERS: Dict[Op, Handler] = {
+    Op.NOP: _nop, Op.DMB: _nop, Op.YIELD: _nop,
+    Op.MOVZ: _movz, Op.MOVK: _movk, Op.ADR: _adr,
+    Op.ADDI: _alu(lambda a, b: (a + b) & MASK64, True),
+    Op.SUBI: _alu(lambda a, b: (a - b) & MASK64, True),
+    Op.ADD: _alu(lambda a, b: (a + b) & MASK64, False),
+    Op.SUB: _alu(lambda a, b: (a - b) & MASK64, False),
+    Op.MUL: _alu(lambda a, b: (a * b) & MASK64, False),
+    Op.UDIV: _alu(lambda a, b: 0 if b == 0 else a // b, False),
+    Op.UREM: _alu(lambda a, b: a if b == 0 else a % b, False),
+    Op.AND: _alu(operator.and_, False), Op.ANDI: _alu(operator.and_, True),
+    Op.ORR: _alu(operator.or_, False), Op.ORRI: _alu(operator.or_, True),
+    Op.EOR: _alu(operator.xor, False), Op.EORI: _alu(operator.xor, True),
+    Op.LSLI: _alu(lambda a, b: (a << b) & MASK64, True),
+    Op.LSRI: _alu(operator.rshift, True),
+    Op.ASRI: _alu(lambda a, b: ((a - (1 << 64) if a >> 63 else a) >> b) & MASK64, True),
+    Op.MOV: _alu(lambda a, _imm: a, True),
+    Op.CMP: _compare(False), Op.CMPI: _compare(True),
+    Op.LDR: _load(8), Op.LDRW: _load(4), Op.LDRB: _load(1),
+    Op.STR: _store(8), Op.STRW: _store(4), Op.STRB: _store(1),
+    Op.LDXR: _ldxr, Op.STXR: _stxr,
+    Op.B: lambda cpu, inst, pc: (pc + 4 * inst.imm) & MASK64,
+    Op.BL: _bl, Op.BCOND: _bcond,
+    Op.CBZ: _compare_branch(True), Op.CBNZ: _compare_branch(False),
+    Op.BR: lambda cpu, inst, pc: cpu.state.regs[inst.rn],
+    Op.RET: lambda cpu, inst, pc: cpu.state.regs[inst.rn],
+    Op.SVC: _trap(ExceptionClass.SVC, "svc"), Op.BRK: _trap(ExceptionClass.BRK, "brk"),
+    Op.UDF: _udf, Op.ERET: _eret,
+    Op.MRS: _mrs, Op.MSR: _msr, Op.MSRI: _msri,
+    Op.WFI: _wfi, Op.HLT: _hlt,
+}

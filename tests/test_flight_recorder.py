@@ -32,11 +32,11 @@ message:
 """
 
 
-def make_vp(num_cores=1, quantum_us=100):
+def make_vp(num_cores=1, quantum_us=100, kind="aoa"):
     image = assemble(GUEST, base_address=0x1000)
     software = GuestSoftware(image=image, mode="interpreter", name="flighttest")
     config = VpConfig(num_cores=num_cores, quantum=SimTime.us(quantum_us))
-    return build_platform("aoa", config, software)
+    return build_platform(kind, config, software)
 
 
 class TestRing:
@@ -152,6 +152,20 @@ class TestPlatformProbes:
             vp.run(SimTime.ms(100))
         assert vp.flight is None
         assert len(flight.recorder) > 0
+
+    def test_avp64_mmio_recorded_with_the_iss_host_clock(self):
+        # The ISS core has no vcpu thread clock; its MMIO events carry the
+        # host time its DBT cost model has charged so far.
+        with recording(bundles=False) as flight:
+            vp = make_vp(kind="avp64")
+            vp.run(SimTime.ms(100))
+        assert vp.console_output() == "hi\n"
+        requests = flight.recorder.of_kind("mmio_req")
+        responses = flight.recorder.of_kind("mmio_resp")
+        assert len(requests) == len(responses) == vp.cpus[0].num_mmio > 0
+        clock = [event.host_ns for event in requests]
+        assert clock == sorted(clock)
+        assert clock[-1] <= vp.cpus[0].cost_model.total_ns
 
     def test_journal_ring_stats_published_to_platform_telemetry(self):
         from repro.telemetry import Telemetry

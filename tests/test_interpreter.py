@@ -637,3 +637,160 @@ _start:
         info = harness.run(10)
         assert info.reason is ExitReason.HALT
         assert info.instructions == 0
+
+
+# -- guards the fast path keeps ------------------------------------------------------
+
+PATCH_LOOP = """
+.equ SIMCTL_HI, 0x090F
+_start:
+    movz x6, #0
+again:
+patch:
+    movz x5, #1              // rewritten after its first execution
+    add x6, x6, #1
+check:
+    cmp x6, #2
+    b.ne rewrite
+    movz x9, #0x4000
+    str x5, [x9]
+    movz x3, #SIMCTL_HI, lsl #16
+    str x3, [x3]
+    hlt #0
+rewrite:
+    adr x1, patch
+    adr x2, replacement
+    ldrw x3, [x2]
+    strw x3, [x1]            // guest-side self-modifying code
+    b again
+replacement:
+    movz x5, #2
+"""
+
+
+class TestSelfModifyingCode:
+    def test_guest_strw_over_executed_code(self, guest):
+        harness = guest(PATCH_LOOP)
+        info = harness.run()
+        assert info.reason is ExitReason.MMIO        # the shutdown store
+        assert harness.reg(5) == 2
+        assert harness.reg(6) == 2
+
+    def test_memory_map_write_over_executed_code(self, guest):
+        from repro.arch.isa import Instruction, Op, encode
+        harness = run_to_halt(guest, "_start:\n    movz x5, #1\n    hlt #0\n")
+        assert harness.reg(5) == 1
+        word = encode(Instruction(Op.MOVZ, rd=5, imm=2))
+        harness.memory.write(harness.image.entry, word.to_bytes(4, "little"))
+        harness.state.pc = harness.image.entry
+        harness.state.halted = False
+        assert harness.run().reason is ExitReason.HALT
+        assert harness.reg(5) == 2
+
+    @pytest.mark.parametrize("kind", ["aoa", "avp64"])
+    def test_debugger_write_over_executed_code(self, kind):
+        from repro.arch.assembler import assemble
+        from repro.arch.isa import Instruction, Op, encode
+        from repro.debug import Debugger
+        from repro.systemc.time import SimTime
+        from repro.vp import GuestSoftware, VpConfig, build_platform
+        image = assemble(PATCH_LOOP.replace("b.ne rewrite", "b.ne again"),
+                         base_address=0x1000)
+        software = GuestSoftware(image=image, mode="interpreter")
+        vp = build_platform(kind, VpConfig(num_cores=1, quantum=SimTime.us(100)),
+                            software)
+        debugger = Debugger(vp)
+        check = debugger.add_breakpoint("check")
+        assert debugger.continue_(SimTime.ms(10)).pc == check   # patch ran once
+        word = encode(Instruction(Op.MOVZ, rd=5, imm=2))
+        debugger.write_memory(image.require_symbol("patch"), word.to_bytes(4, "little"))
+        debugger.remove_breakpoint(check)
+        debugger.continue_(SimTime.ms(50))
+        assert int.from_bytes(vp.ram.data[0x4000:0x4008], "little") == 2
+
+
+class TestMmuGate:
+    TABLES = 0x2_0000
+    ALIAS = 0x3_0000       # physical page holding the translated copy
+
+    SOURCE = """
+_start:
+    movz x1, #0x0002, lsl #16    // page tables
+    msr TTBR0_EL1, x1
+    movz x2, #1
+    msr SCTLR_EL1, x2            // MMU on: the next fetch translates
+after_enable:
+    movz x5, #1
+    hlt #0
+"""
+
+    def _harness(self, guest, el0=False):
+        from repro.arch.mmu import PAGE_SIZE, PageTableBuilder
+        harness = guest(self.SOURCE)
+        builder = PageTableBuilder(harness.ram, self.TABLES)
+        # The code page translates to an alias whose copy of after_enable
+        # reads "movz x5, #2", so only a translated fetch can see it.
+        page = harness.image.entry & ~(PAGE_SIZE - 1)
+        builder.map_page(page, self.ALIAS, el0=el0)
+        harness.ram[self.ALIAS:self.ALIAS + PAGE_SIZE] = harness.ram[page:page + PAGE_SIZE]
+        return harness, builder
+
+    def test_msr_sctlr_mid_run_makes_the_next_fetch_translate(self, guest):
+        from repro.arch.isa import Instruction, Op, encode
+        harness, _ = self._harness(guest)
+        offset = harness.image.require_symbol("after_enable") & 0xFFF
+        word = encode(Instruction(Op.MOVZ, rd=5, imm=2))
+        harness.ram[self.ALIAS + offset:self.ALIAS + offset + 4] = word.to_bytes(4, "little")
+        assert harness.run().reason is ExitReason.HALT
+        assert harness.reg(5) == 2
+        assert harness.interp.mmu.walks == 1
+        assert harness.interp.sample_stats().tlb_misses == 1
+
+    def test_el0_fetch_from_an_el1_page_faults(self, guest):
+        from repro.arch.exceptions import ExceptionClass
+        from repro.arch.isa import Instruction, Op, encode
+        harness, builder = self._harness(guest)          # code page: EL1 only
+        builder.map_page(0x4000, 0x4000)
+        harness.state.write_sysreg(SysReg.TTBR0_EL1, self.TABLES)
+        harness.state.write_sysreg(SysReg.SCTLR_EL1, 1)
+        harness.state.write_sysreg(SysReg.VBAR_EL1, 0x4000)
+        hlt = encode(Instruction(Op.HLT)).to_bytes(4, "little")
+        harness.ram[0x4100:0x4104] = hlt                 # sync-from-EL0 vector
+        harness.state.el = 0
+        harness.state.pc = harness.image.entry
+        assert harness.run().reason is ExitReason.HALT
+        esr = harness.state.read_sysreg(SysReg.ESR_EL1)
+        assert esr >> 26 == ExceptionClass.INSTRUCTION_ABORT
+        assert esr & 0xFFFF == 0xF                   # permission fault
+        assert harness.state.read_sysreg(SysReg.ELR_EL1) == harness.image.entry
+
+
+class TestDispatchTable:
+    def test_every_decodable_op_has_a_handler(self):
+        from repro.arch.isa import Op, decode
+        from repro.iss.interpreter import _HANDLERS
+        for op in Op:
+            assert decode(int(op) << 26).op in _HANDLERS, op
+        assert set(_HANDLERS) == set(Op)
+
+    def test_emulate_one_and_run_share_the_handlers(self, guest, monkeypatch):
+        from repro.arch.isa import Op
+        from repro.iss import interpreter
+        calls = []
+        original = interpreter._HANDLERS[Op.ADDI]
+
+        def counting(cpu, inst, pc):
+            calls.append(pc)
+            return original(cpu, inst, pc)
+
+        monkeypatch.setitem(interpreter._HANDLERS, Op.ADDI, counting)
+        harness = guest("""
+_start:
+    add x1, x1, #1
+    add x1, x1, #1
+    hlt #0
+""")
+        assert harness.interp.emulate_one().instructions == 1
+        assert harness.run().reason is ExitReason.HALT
+        assert calls == [0, 4]
+        assert harness.reg(1) == 2

@@ -28,9 +28,17 @@ class TestKvmObjectModel:
         kvm = Kvm()
         vm = kvm.create_vm()
         vm.set_user_memory_region(0, 0x0000, memoryview(bytearray(0x1000)))
-        vm.set_user_memory_region(0, 0x8000, memoryview(bytearray(0x1000)))
+        assert vm.memory.find(0x0000) is not None    # now the cached slot
+        replacement = memoryview(bytearray(0x1000))
+        vm.set_user_memory_region(0, 0x8000, replacement)
         assert vm.memory.find(0x0000) is None
+        assert vm.memory.lookup(0x0000) is None
         assert vm.memory.find(0x8000) is not None
+        view, offset = vm.memory.lookup(0x8FFC, 4)
+        assert view is replacement and offset == 0xFFC
+        assert vm.memory.lookup(0x8FFD, 4) is None   # runs past the slot
+        assert vm.memory.remove_slot(0x8000)
+        assert vm.memory.lookup(0x8000) is None
 
     def test_overlapping_slots_rejected(self):
         kvm = Kvm()
