@@ -29,7 +29,6 @@ from ..arch.exceptions import (
 from ..arch.isa import BLOCK_TERMINATORS, DecodeError, Instruction, Op, SysReg, decode
 from ..arch.mmu import Mmu
 from ..arch.registers import MASK64, CpuState
-from ..systemc.kernel import enter_shared_section
 from .executor import ExitInfo, ExitReason, GuestMemoryMap, MmioRequest, RunStats
 
 _SCTLR = int(SysReg.SCTLR_EL1)
@@ -230,10 +229,6 @@ class Interpreter:
         state = self.state
         if state.halted:
             return ExitInfo(ExitReason.HALT, 0, state.pc)
-        # Guest RAM is shared by every core.  Inside a parallel simulate leg
-        # this takes the lane-ordered commit token, which is then held until
-        # the leg ends, so one call covers every fetch, load and store below.
-        enter_shared_section()
         fetch = self._fetch
         breakpoints = self.breakpoints
         unsupported = self.unsupported_ops
@@ -307,7 +302,6 @@ class Interpreter:
             raise RuntimeError("MMIO in flight; complete it before emulating")
         state = self.state
         pc = state.pc
-        enter_shared_section()
         try:
             _word, inst, handler, _ends_block = self._fetch(pc)
             state.pc = handler(self, inst, pc)

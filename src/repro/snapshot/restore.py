@@ -48,25 +48,44 @@ _METHOD_HANDLE_ATTR = {
 
 
 def config_from_manifest(section: dict) -> VpConfig:
-    if section["host_custom"]:
+    def field(key: str):
+        if key not in section:
+            raise SnapshotError(f"snapshot config is missing {key!r}")
+        return section[key]
+
+    def costs(cls, key: str):
+        try:
+            return cls(**field(key))
+        except TypeError as exc:
+            raise SnapshotError(f"snapshot config {key!r} is malformed: {exc}") from None
+
+    if field("host_custom"):
         raise SnapshotError(
             "snapshot was captured with a custom HostMachine; pass the same "
             "config explicitly to restore()")
+    # Snapshots taken before the quantum executor was removed may carry an
+    # exec_backend key.  Absent or null means the one simulate loop; any
+    # other value recorded the executor's round schedule, which this loop
+    # does not reproduce.
+    backend = section.get("exec_backend")
+    if backend is not None:
+        raise SnapshotError(
+            f"snapshot was captured under the removed {backend!r} quantum "
+            "executor; its schedule cannot be resumed")
     return VpConfig(
-        num_cores=section["num_cores"],
-        quantum=SimTime(section["quantum_ps"]),
-        parallel=section["parallel"],
-        wfi_annotations=section["wfi_annotations"],
-        vcpu_clock_hz=section["vcpu_clock_hz"],
-        ram_size=section["ram_size"],
+        num_cores=field("num_cores"),
+        quantum=SimTime(field("quantum_ps")),
+        parallel=field("parallel"),
+        wfi_annotations=field("wfi_annotations"),
+        vcpu_clock_hz=field("vcpu_clock_hz"),
+        ram_size=field("ram_size"),
         host=None,
-        kvm_costs=KvmCostParams(**section["kvm_costs"]),
-        iss_costs=IssCostParams(**section["iss_costs"]),
-        sim_costs=SimulationCostParams(**section["sim_costs"]),
-        timer_frequency_hz=section["timer_frequency_hz"],
-        track_host_time=section["track_host_time"],
-        unguarded_watchdog=section["unguarded_watchdog"],
-        exec_backend=section["exec_backend"],
+        kvm_costs=costs(KvmCostParams, "kvm_costs"),
+        iss_costs=costs(IssCostParams, "iss_costs"),
+        sim_costs=costs(SimulationCostParams, "sim_costs"),
+        timer_frequency_hz=field("timer_frequency_hz"),
+        track_host_time=field("track_host_time"),
+        unguarded_watchdog=field("unguarded_watchdog"),
     )
 
 

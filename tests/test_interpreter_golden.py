@@ -17,35 +17,20 @@ from repro.workloads.guest_programs import RESULT_ADDRESS, functional_dhrystone
 
 ITERATIONS = 60
 
-#: (kind, backend) -> (per-core RunStats, ledger wall_time_ns, DET001 digest).
-#: "off" is the inline quantum loop, in which core 0 reaches the shutdown
-#: before core 1's first leg; with an executor both cores run in each round.
-_SERIAL_STATS = ((19576, 4266, 6182, 16, 0, 0), (19576, 4266, 6182, 16, 0, 0))
+#: kind -> (per-core RunStats, ledger wall_time_ns, DET001 digest).  Core 0
+#: reaches the shutdown before core 1's first simulate call.
 GOLDEN = {
-    ("aoa", "off"): (
+    "aoa": (
         ((19577, 4266, 6182, 16, 0, 0), (0, 0, 0, 0, 0, 0)),
         16657.6,
         "554d8f394bf8719610ea732762c2bfe57cc133cb4c236bccd7b65e83ba9f0069",
     ),
-    ("aoa", "serial"): (
-        _SERIAL_STATS,
-        17057.5,
-        "b2a8407a44df1394c00fa9c0f372a53b9f1f5461db88d73c212f81d4001ef93a",
-    ),
-    ("avp64", "off"): (
+    "avp64": (
         ((19577, 4266, 6182, 16, 0, 0), (0, 0, 0, 0, 0, 0)),
         425212.25,
         "2303b93445a5a3d675f8d8035f8298e4c8d5190e73c762f40eabe5b61cd5861a",
     ),
-    ("avp64", "serial"): (
-        _SERIAL_STATS,
-        427671.5,
-        "7418d188885bece1887aa9ce5151f40e98d07318b54194864c1836348d0ed2a9",
-    ),
 }
-# The threads backend is gated to reproduce the serial reference exactly.
-GOLDEN[("aoa", "threads")] = GOLDEN[("aoa", "serial")]
-GOLDEN[("avp64", "threads")] = GOLDEN[("avp64", "serial")]
 
 
 def _executor(cpu):
@@ -61,11 +46,7 @@ def _run(kind):
     def action():
         vp = build_platform(kind, config, software)
         holder["vp"] = vp
-        try:
-            vp.run(SimTime.seconds(10))
-        finally:
-            if vp.executor is not None:
-                vp.executor.shutdown()
+        vp.run(SimTime.seconds(10))
 
     trace = trace_run(action)
     vp = holder["vp"]
@@ -75,14 +56,10 @@ def _run(kind):
     return stats, vp.ledger.wall_time_ns(), trace.digest()
 
 
-@pytest.mark.parametrize("backend", ["off", "serial", "threads"])
 @pytest.mark.parametrize("kind", ["aoa", "avp64"])
-def test_modeled_counters_match_golden(kind, backend, monkeypatch):
-    # Through the environment, so "off" also overrides a REPRO_EXEC the
-    # suite itself runs under.
-    monkeypatch.setenv("REPRO_EXEC", backend)
+def test_modeled_counters_match_golden(kind):
     stats, wall_ns, digest = _run(kind)
-    golden_stats, golden_wall_ns, golden_digest = GOLDEN[(kind, backend)]
+    golden_stats, golden_wall_ns, golden_digest = GOLDEN[kind]
     assert stats == golden_stats
     assert wall_ns == golden_wall_ns
     assert digest == golden_digest

@@ -55,11 +55,6 @@ def make_config(**kwargs) -> VpConfig:
     return VpConfig(**kwargs)
 
 
-def shutdown(vp) -> None:
-    if vp.executor is not None:
-        vp.executor.shutdown()
-
-
 def digest_run(action) -> KernelTrace:
     trace = KernelTrace()
     handle = Kernel.add_trace_hook(trace.record, Kernel.TRACE_PRIORITY_DIGEST)
@@ -75,7 +70,6 @@ def boot_capture(kind: str = "aoa", until: SimTime = HALF, **config_kwargs):
     with TraceRecorder() as recorder:
         vp = build_platform(kind, make_config(**config_kwargs), software())
         vp.run(until)
-    shutdown(vp)
     return vp, capture_platform(vp, trace=recorder.entries)
 
 
@@ -166,7 +160,6 @@ class TestCanonicalBytes:
         assert any(item["action"]["event"].endswith(".irq")
                    for item in events)
         restored = restore_platform(snapshot, software())
-        shutdown(restored)
         assert capture_platform(restored).snapshot_id == snapshot.snapshot_id
 
 
@@ -183,7 +176,6 @@ class TestRoundTrip:
         out = {}
         for kind, (vp, snapshot) in (("aoa", aoa_warm), ("avp64", avp64_warm)):
             restored = restore_platform(snapshot, software())
-            shutdown(restored)
             out[kind] = (snapshot, capture_platform(restored))
         return out
 
@@ -212,33 +204,15 @@ class TestRoundTrip:
 
 class TestColdVsResumed:
     @pytest.mark.parametrize("kind", ["aoa", "avp64"])
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_resumed_digest_matches_cold(self, kind, backend):
-        def cold():
-            vp = build_platform(kind, make_config(exec_backend=backend),
-                                software())
-            vp.run(FULL)
-            shutdown(vp)
+    def test_resumed_digest_matches_cold(self, kind):
+        cold_trace = digest_run(
+            lambda: build_platform(kind, make_config(), software()).run(FULL))
 
-        cold_trace = digest_run(cold)
-
-        captured = {}
-
-        def warm_boot():
-            with TraceRecorder() as recorder:
-                vp = build_platform(kind, make_config(exec_backend=backend),
-                                    software())
-                vp.run(HALF)
-            shutdown(vp)
-            captured["snap"] = capture_platform(vp, trace=recorder.entries)
-
-        digest_run(warm_boot)
-        snapshot = captured["snap"]
+        snapshot = boot_capture(kind)[1]
 
         def resume():
             vp = restore_platform(snapshot, software())
             vp.run(FULL - SimTime(snapshot.sim_time_ps))
-            shutdown(vp)
 
         warm_trace = digest_run(resume)
         assert warm_trace.digest() == cold_trace.digest()
@@ -264,6 +238,52 @@ class TestCaptureErrors:
         other = linux_boot_software(CORES, LinuxBootParams().scaled(SCALE * 2))
         with pytest.raises(SnapshotError, match="software mismatch"):
             restore_platform(snapshot, other)
+
+
+# -- hand-edited manifests ------------------------------------------------------------
+
+def edited_container(snapshot, tmp_path, edit) -> Snapshot:
+    """Round-trip ``snapshot`` through a file whose config section ``edit``
+    has rewritten, the way a hostile or stale ``.rsnap`` would arrive."""
+    path = str(tmp_path / "edited.rsnap")
+    snapshot.save(path)
+    manifest, blobs = read_container(path)
+    edit(manifest["config"])
+    write_container(path, manifest, blobs)
+    return Snapshot.load(path)
+
+
+class TestConfigRestore:
+    def test_capture_writes_no_exec_backend(self, aoa_warm):
+        assert "exec_backend" not in aoa_warm[1].manifest["config"]
+
+    def test_missing_key_is_named(self, aoa_warm, tmp_path):
+        snapshot = edited_container(aoa_warm[1], tmp_path,
+                                    lambda config: config.pop("ram_size"))
+        with pytest.raises(SnapshotError, match="missing 'ram_size'"):
+            restore_platform(snapshot, software())
+
+    def test_malformed_cost_section_is_refused(self, aoa_warm, tmp_path):
+        snapshot = edited_container(
+            aoa_warm[1], tmp_path,
+            lambda config: config["kvm_costs"].update(bogus=1))
+        with pytest.raises(SnapshotError, match="'kvm_costs' is malformed"):
+            restore_platform(snapshot, software())
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_executor_snapshots_are_refused(self, aoa_warm, tmp_path, backend):
+        snapshot = edited_container(
+            aoa_warm[1], tmp_path,
+            lambda config: config.update(exec_backend=backend))
+        with pytest.raises(SnapshotError, match=f"removed '{backend}'"):
+            restore_platform(snapshot, software())
+
+    def test_null_exec_backend_still_restores(self, aoa_warm, tmp_path):
+        snapshot = edited_container(
+            aoa_warm[1], tmp_path,
+            lambda config: config.update(exec_backend=None))
+        restored = restore_platform(snapshot, software())
+        assert restored.kernel.now.picoseconds == snapshot.sim_time_ps
 
 
 # -- forking --------------------------------------------------------------------------
@@ -314,7 +334,6 @@ class TestFork:
             def resume(child=child):
                 vp = restore_platform(child, software())
                 vp.run(FULL - SimTime(child.sim_time_ps))
-                shutdown(vp)
             digests.append(digest_run(resume).digest())
         assert digests[0] == digests[1]
 
@@ -327,7 +346,6 @@ class TestFork:
                 vp = restore_platform(snapshot, software())
                 vp.uart.inject_rx(data)
                 vp.run(FULL - SimTime(snapshot.sim_time_ps))
-                shutdown(vp)
                 bucket.append(capture_platform(vp).snapshot_id)
             traces.append(digest_run(resume))
         # Children share the replayed pre-fork prefix bit-for-bit ...
@@ -352,7 +370,6 @@ class TestForkHypothesis:
             def resume(child=child, bucket=finals):
                 vp = restore_platform(child, software())
                 vp.run(FULL - SimTime(child.sim_time_ps))
-                shutdown(vp)
                 bucket.append(capture_platform(vp).snapshot_id)
             traces.append(digest_run(resume))
         assert traces[0].entries[:prefix_len] == traces[1].entries[:prefix_len]
@@ -446,7 +463,6 @@ class TestTelemetry:
             snapshot.save(str(tmp_path / "t.rsnap"))
             snapshot.fork(2)
             restored = restore_platform(snapshot, software())
-            shutdown(restored)
             registry = telemetry.registry
             assert registry.histogram("snapshot.save_ns").count >= 1
             assert registry.histogram("snapshot.restore_ns").count == 1
@@ -459,7 +475,6 @@ class TestTelemetry:
         def run():
             vp = build_platform("aoa", make_config(), software())
             vp.run(SimTime.ms(1))
-            shutdown(vp)
 
         bare = digest_run(run)
         with collecting():
