@@ -23,6 +23,16 @@ MAGIC = b"\x7fELFL"
 VERSION = 1
 
 
+def _read_exact(stream: io.BytesIO, length: int) -> bytes:
+    """The next ``length`` bytes of ``stream``; a short read is a ValueError."""
+    offset = stream.tell()
+    data = stream.read(length)
+    if len(data) != length:
+        raise ValueError(f"truncated ELF-lite image: wanted {length} bytes at "
+                         f"offset {offset}, got {len(data)}")
+    return data
+
+
 class Symbol(NamedTuple):
     name: str
     address: int
@@ -142,22 +152,23 @@ class ElfLite:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ElfLite":
+        """Parse an image; bad magic, version or length is a ValueError."""
         stream = io.BytesIO(blob)
-        if stream.read(5) != MAGIC:
+        if stream.read(len(MAGIC)) != MAGIC:
             raise ValueError("not an ELF-lite image (bad magic)")
-        version, _flags, entry = struct.unpack("<HHQ", stream.read(12))
+        version, _flags, entry = struct.unpack("<HHQ", _read_exact(stream, 12))
         if version != VERSION:
             raise ValueError(f"unsupported ELF-lite version {version}")
-        section_count, symbol_count = struct.unpack("<II", stream.read(8))
+        section_count, symbol_count = struct.unpack("<II", _read_exact(stream, 8))
         sections, symbols = [], []
         for _ in range(section_count):
-            name_len, address, data_len = struct.unpack("<HQI", stream.read(14))
-            name = stream.read(name_len).decode()
-            data = stream.read(data_len)
+            name_len, address, data_len = struct.unpack("<HQI", _read_exact(stream, 14))
+            name = _read_exact(stream, name_len).decode()
+            data = _read_exact(stream, data_len)
             sections.append(Section(name, address, data))
         for _ in range(symbol_count):
-            name_len, address = struct.unpack("<HQ", stream.read(10))
-            name = stream.read(name_len).decode()
+            name_len, address = struct.unpack("<HQ", _read_exact(stream, 10))
+            name = _read_exact(stream, name_len).decode()
             symbols.append(Symbol(name, address))
         return cls(entry, sections, symbols)
 

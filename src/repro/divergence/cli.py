@@ -1,4 +1,4 @@
-"""``python -m repro.divergence`` — capture, compare, selfcheck.
+"""``python -m repro.divergence`` — capture, compare.
 
 Subcommands:
 
@@ -8,17 +8,11 @@ Subcommands:
   file.  Run it on two machines / branches / configurations, then:
 * ``compare A B`` — bisect two ledger files to the first divergent
   (window, lane).  Exit 0 when identical, 1 on divergence, 2 on bad
-  input (unreadable file, mismatched window sizes).
-* ``selfcheck`` — the built-in A/B scenario: one small multicore
-  Dhrystone run on the ``aoa`` platform with the memory fabric enabled
-  vs the same run under :func:`repro.fabric.legacy_memory_path`.  The
-  two paths must produce bit-identical dispatch streams; on mismatch the
-  divergence is zoom-localized and (with ``--bundle-dir``) packaged as a
-  divergence bundle.  This is the CI determinism canary.
+  input (unreadable or malformed file, mismatched window sizes).
 
 ``divergence/`` is a simulation package, so this module reports through
 ``sys.stdout.write`` rather than ``print`` (RPR006); everything a script
-prints during ``capture``/``selfcheck`` is redirected to stderr, exactly
+prints during ``capture`` is redirected to stderr, exactly
 like the analysis runners.
 """
 
@@ -35,7 +29,6 @@ from typing import List, Optional
 
 from .bisect import bisect
 from .ledger import DEFAULT_WINDOW, RunLedger, WindowLedger
-from .zoom import localize_divergence
 
 
 def _out(text: str) -> None:
@@ -72,7 +65,7 @@ def _script_argv(script: Path):
 def _load(path: str) -> RunLedger:
     try:
         return RunLedger.load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot load ledger {path}: {exc}")
 
 
@@ -120,46 +113,6 @@ def _cmd_compare(args) -> int:
     return 0 if comparison.identical else 1
 
 
-def _cmd_selfcheck(args) -> int:
-    # Deferred: the bench stack pulls the full platform; `compare` on two
-    # ledger files must not need it.
-    from ..bench.measure import make_config, run_workload
-    from ..fabric import legacy_memory_path
-    from ..workloads.dhrystone import DhrystoneParams, dhrystone_software
-
-    def scenario():
-        config = make_config(args.cores, args.quantum_us, parallel=False)
-        software = dhrystone_software(
-            args.cores, DhrystoneParams(args.iterations))
-        run_workload("aoa", config, software)
-
-    def scenario_legacy():
-        with legacy_memory_path():
-            scenario()
-
-    with contextlib.redirect_stdout(io.StringIO()) as captured:
-        report = localize_divergence(
-            scenario, scenario_legacy,
-            window=_window_ps(args),
-            meta_a={"leg": "fabric"}, meta_b={"leg": "legacy_memory_path"},
-            bundle_dir=args.bundle_dir,
-            labels=("fabric", "legacy_memory_path"))
-    if captured.getvalue():
-        sys.stderr.write(captured.getvalue())
-    if args.json:
-        doc = report.comparison.to_json()
-        doc["bundle"] = report.bundle_path
-        doc["event_diff"] = (report.event_diff.describe()
-                             if report.event_diff is not None else None)
-        _out(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _out("A/B selfcheck: fabric vs legacy_memory_path, "
-             f"{args.cores}-core dhrystone ({args.iterations} iterations, "
-             f"{args.quantum_us}us quantum)")
-        _out(report.describe())
-    return 0 if report.identical else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.divergence",
@@ -188,19 +141,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     compare.add_argument("--bundle-dir", default=None,
                          help="write a divergence bundle here on mismatch")
     compare.set_defaults(func=_cmd_compare)
-
-    selfcheck = sub.add_parser(
-        "selfcheck", help="A/B canary: fabric vs legacy memory path")
-    selfcheck.add_argument("--cores", type=int, default=2)
-    selfcheck.add_argument("--iterations", type=int, default=20_000,
-                           help="dhrystone iterations per core")
-    selfcheck.add_argument("--quantum-us", type=float, default=100.0)
-    selfcheck.add_argument("--window-us", type=float, default=1.0,
-                           help="ledger window in simulated microseconds")
-    selfcheck.add_argument("--json", action="store_true", help="JSON output")
-    selfcheck.add_argument("--bundle-dir", default=None,
-                           help="write a divergence bundle here on mismatch")
-    selfcheck.set_defaults(func=_cmd_selfcheck)
 
     args = parser.parse_args(argv)
     try:

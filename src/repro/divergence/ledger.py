@@ -29,7 +29,7 @@ Three digest levels are maintained at O(windows) memory:
 On :meth:`~WindowLedger.detach` the fold is frozen into a
 :class:`RunLedger` — a compact JSON-serializable record — so runs that
 never shared an address space (cold vs snapshot-resumed, farm worker vs
-local, fabric vs ``legacy_memory_path()``) can be compared offline with
+local, two revisions of the code) can be compared offline with
 :func:`repro.divergence.bisect`.
 
 Telemetry (flushed on detach when a registry is available):
@@ -63,6 +63,22 @@ DEFAULT_WINDOW = SimTime.ms(1)
 EMPTY_DIGEST = ""
 
 
+def _field(doc, key: str, kind: type):
+    """``doc[key]`` if ``doc`` is an object and the value a ``kind``.
+
+    Anything else is a :class:`ValueError`, so a well-formed JSON file of
+    the wrong shape is rejected like any other bad ledger.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed ledger: expected an object, got "
+                         f"{type(doc).__name__}")
+    value = doc.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed ledger: {key!r} is "
+                         f"{type(value).__name__}, want {kind.__name__}")
+    return value
+
+
 def _lane_of(name: str) -> int:
     # Deferred import: repro.analysis.race pulls the fabric/vcml stack,
     # which itself never imports the divergence package.
@@ -84,8 +100,8 @@ class LaneDigest(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "LaneDigest":
-        return cls(doc["digest"], doc["entries"],
-                   doc["first_seq"], doc["last_seq"])
+        return cls(_field(doc, "digest", str), _field(doc, "entries", int),
+                   _field(doc, "first_seq", int), _field(doc, "last_seq", int))
 
 
 class WindowRecord(NamedTuple):
@@ -108,8 +124,9 @@ class WindowRecord(NamedTuple):
     @classmethod
     def from_json(cls, doc: dict) -> "WindowRecord":
         lanes = {int(lane): LaneDigest.from_json(entry)
-                 for lane, entry in doc["lanes"].items()}
-        return cls(doc["window"], doc["digest"], doc["entries"], lanes)
+                 for lane, entry in _field(doc, "lanes", dict).items()}
+        return cls(_field(doc, "window", int), _field(doc, "digest", str),
+                   _field(doc, "entries", int), lanes)
 
 
 class RunLedger:
@@ -137,16 +154,19 @@ class RunLedger:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunLedger":
-        if doc.get("format") != LEDGER_FORMAT:
+        """Rebuild a ledger; any malformed document is a ValueError."""
+        form = doc.get("format") if isinstance(doc, dict) else None
+        if form != LEDGER_FORMAT:
             raise ValueError(
-                f"not a divergence ledger (format={doc.get('format')!r}, "
+                f"not a divergence ledger (format={form!r}, "
                 f"want {LEDGER_FORMAT!r})")
         return cls(
-            window_ps=doc["window_ps"],
-            windows=[WindowRecord.from_json(entry) for entry in doc["windows"]],
-            root_digest=doc["root_digest"],
-            entries=doc["entries"],
-            meta=doc.get("meta", {}),
+            window_ps=_field(doc, "window_ps", int),
+            windows=[WindowRecord.from_json(entry)
+                     for entry in _field(doc, "windows", list)],
+            root_digest=_field(doc, "root_digest", str),
+            entries=_field(doc, "entries", int),
+            meta=_field(doc, "meta", dict) if "meta" in doc else {},
         )
 
     def save(self, path: str) -> None:

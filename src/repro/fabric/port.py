@@ -58,9 +58,6 @@ class AccessResult(NamedTuple):
 class MemoryPort:
     """Unified memory access layer for one initiator."""
 
-    #: class-level fabric switches (see repro.fabric.legacy_memory_path)
-    pooling_enabled: bool = True
-    dmi_promotion_enabled: bool = True
     #: b_transport hits on a DMI-capable page before the single DMI probe
     promote_threshold: int = 2
 
@@ -109,8 +106,6 @@ class MemoryPort:
     # -- DMI promotion -------------------------------------------------------
     def _note_dmi_candidate(self, address: int) -> None:
         """One DMI-capable transport completed; maybe probe for a grant."""
-        if not self.dmi_promotion_enabled:
-            return
         page = address >> _PAGE_SHIFT
         if page in self._no_dmi_pages:
             return
@@ -163,13 +158,8 @@ class MemoryPort:
             self._observe("dmi", True)
             return AccessResult(True, data, base_delay + SimTime(region.read_latency_ps),
                                 ResponseStatus.OK, True)
-        if self.pooling_enabled:
-            payload = self.pool.acquire_read(address, length,
-                                             self.socket.initiator_id)
-        else:
-            from ..tlm.payload import GenericPayload
-            payload = GenericPayload.read(address, length,
-                                          self.socket.initiator_id)
+        payload = self.pool.acquire_read(address, length,
+                                         self.socket.initiator_id)
         out_delay = self.socket.b_transport(payload, base_delay)
         self.num_transports += 1
         ok = payload.response_status.is_ok
@@ -177,8 +167,7 @@ class MemoryPort:
         status = payload.response_status
         if ok and payload.dmi_allowed:
             self._note_dmi_candidate(address)
-        if self.pooling_enabled:
-            self.pool.release(payload)
+        self.pool.release(payload)
         if self.on_access is not None:
             self.on_access("transport", ok)
         return AccessResult(ok, data, out_delay, status, False)
@@ -200,21 +189,15 @@ class MemoryPort:
             self._observe("dmi", True)
             return AccessResult(True, None, base_delay + SimTime(region.write_latency_ps),
                                 ResponseStatus.OK, True)
-        if self.pooling_enabled:
-            payload = self.pool.acquire_write(address, data,
-                                              self.socket.initiator_id)
-        else:
-            from ..tlm.payload import GenericPayload
-            payload = GenericPayload.write(address, data,
-                                           self.socket.initiator_id)
+        payload = self.pool.acquire_write(address, data,
+                                          self.socket.initiator_id)
         out_delay = self.socket.b_transport(payload, base_delay)
         self.num_transports += 1
         ok = payload.response_status.is_ok
         status = payload.response_status
         if ok and payload.dmi_allowed:
             self._note_dmi_candidate(address)
-        if self.pooling_enabled:
-            self.pool.release(payload)
+        self.pool.release(payload)
         if self.on_access is not None:
             self.on_access("transport", ok)
         return AccessResult(ok, None, out_delay, status, False)

@@ -141,6 +141,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ElfLite.from_bytes(bytes(blob))
 
+    def test_every_strict_prefix_is_rejected(self):
+        image = ElfLite(0x40, [Section(".text", 0x40, bytes(range(64)))],
+                        [Symbol("_start", 0x40)])
+        blob = image.to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError, match="truncated|bad magic"):
+                ElfLite.from_bytes(blob[:cut])
+
     @given(
         st.integers(0, 2**63),
         st.lists(

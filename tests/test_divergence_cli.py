@@ -1,4 +1,4 @@
-"""CLI tests: ``python -m repro.divergence`` capture / compare / selfcheck."""
+"""CLI tests: ``python -m repro.divergence`` capture / compare."""
 
 from __future__ import annotations
 
@@ -123,9 +123,21 @@ class TestCompare:
         bundles = os.listdir(bundle_dir)
         assert len(bundles) == 1 and bundles[0].endswith("-w2")
 
-    def test_unreadable_ledger_exits_2(self, ledger_pair, tmp_path, capsys):
+    @pytest.mark.parametrize("mangle", [
+        pytest.param(None, id="missing"),
+        pytest.param(lambda doc: [doc], id="top-level-list"),
+        pytest.param(lambda doc: {**doc, "windows": 5}, id="windows-not-a-list"),
+    ])
+    def test_unreadable_ledger_exits_2(self, ledger_pair, tmp_path, capsys,
+                                       mangle):
         path_a, _ = ledger_pair
-        assert main(["compare", path_a, str(tmp_path / "missing.json")]) == 2
+        path_b = str(tmp_path / "bad.json")
+        if mangle is not None:
+            with open(path_a) as stream:
+                doc = json.load(stream)
+            with open(path_b, "w") as stream:
+                json.dump(mangle(doc), stream)
+        assert main(["compare", path_a, path_b]) == 2
         assert "cannot load ledger" in capsys.readouterr().err
 
     def test_window_size_mismatch_exits_2(self, ledger_pair, tmp_path,
@@ -136,23 +148,3 @@ class TestCompare:
         fine.save(path_fine)
         assert main(["compare", path_a, path_fine]) == 2
         assert "window sizes differ" in capsys.readouterr().err
-
-
-class TestSelfcheck:
-    def test_ab_legs_are_identical(self, capsys):
-        # The real canary: fabric vs legacy_memory_path must not diverge.
-        # Trimmed workload to keep the suite fast.
-        code = main(["selfcheck", "--iterations", "2000",
-                     "--window-us", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "ledgers identical" in out
-
-    def test_json_output(self, capsys):
-        code = main(["selfcheck", "--iterations", "2000",
-                     "--window-us", "5", "--json"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["identical"] is True
-        assert doc["root_a"] == doc["root_b"]
-        assert doc["bundle"] is None
