@@ -37,6 +37,11 @@ from ..vcml.processor import Processor, SimulateAction, SimulateResult
 from .watchdog import KickGuard, Watchdog
 from .wfi import WfiAnnotator
 
+# Bound once: every ``Enum.X`` lookup is a descriptor call on CPython 3.11,
+# and both are used on every quantum.
+_INTR = KvmExitReason.INTR
+_CONTINUE = SimulateAction.CONTINUE
+
 
 class KvmCpu(Processor):
     """One KVM-backed core of the AoA virtual platform."""
@@ -117,7 +122,7 @@ class KvmCpu(Processor):
     # -- the Fig. 3 loop -----------------------------------------------------------
     def simulate(self, cycles: int) -> SimulateResult:
         costs = self.costs
-        freq_hz = self.clock_hz
+        freq_hz = self._require_clock()._frequency
         # (1) allowed runtime from the cycle budget (1 cycle == 1 instruction).
         budget_ns = cycles * 1e9 / freq_hz
         # (2) program the software watchdog for the current kick id.
@@ -126,28 +131,31 @@ class KvmCpu(Processor):
         # (3) pending interrupts were injected by on_interrupt; store the
         # timestamp and enter the guest.
         exit_info = self.vcpu.run(budget_ns, self.lane_speed)
+        reason = exit_info.reason
+        wall_ns = exit_info.wall_ns
         # (4) measure the run time, fire due watchdog timers, bump the id.
-        self.host_now_ns += exit_info.wall_ns
+        self.host_now_ns += wall_ns
         self.watchdog.advance(self.core_id, self.host_now_ns)
-        if exit_info.reason is KvmExitReason.INTR:
+        if reason is _INTR:
             # The signal that ended this run is consumed by its EINTR return.
             self.vcpu.immediate_exit = False
         self.kick_guard.next_run()
-        consumed = self._cycles_from_wall(exit_info.wall_ns, cycles, freq_hz)
+        consumed = self._cycles_from_wall(wall_ns, cycles, freq_hz)
         category = "wfi_blocked" if exit_info.blocked_in_wfi else "guest"
-        self.bill_host_time(exit_info.wall_ns, category)
-        # (5) dispatch the exit reason.
-        if exit_info.reason is KvmExitReason.MMIO:
+        self.bill_host_time(wall_ns, category)
+        # (5) dispatch the exit reason; the idle exit (the watchdog ended
+        # the quantum) is by far the most frequent, so it is tested first.
+        if reason is _INTR:
+            return SimulateResult(consumed, _CONTINUE)
+        if reason is KvmExitReason.MMIO:
             consumed += self._handle_mmio(exit_info.mmio)
-            return SimulateResult(consumed, SimulateAction.CONTINUE)
-        if exit_info.reason is KvmExitReason.DEBUG:
+            return SimulateResult(consumed, _CONTINUE)
+        if reason is KvmExitReason.DEBUG:
             return self._handle_debug(exit_info.pc, consumed)
-        if exit_info.reason is KvmExitReason.EMULATION:
+        if reason is KvmExitReason.EMULATION:
             consumed += self._handle_emulation()
-            return SimulateResult(consumed, SimulateAction.CONTINUE)
-        if exit_info.reason is KvmExitReason.INTR:
-            return SimulateResult(consumed, SimulateAction.CONTINUE)
-        if exit_info.reason is KvmExitReason.SYSTEM_EVENT:
+            return SimulateResult(consumed, _CONTINUE)
+        if reason is KvmExitReason.SYSTEM_EVENT:
             return SimulateResult(consumed, SimulateAction.HALT)
         raise RuntimeError(
             f"{self.name}: KVM internal error at pc=0x{exit_info.pc:x}: {exit_info.message}"

@@ -44,6 +44,12 @@ class WatchdogFire(NamedTuple):
 
 
 class WatchdogEntry:
+    """One armed timer; the handle :meth:`Watchdog.cancel` takes.
+
+    A timeline is a heap of ``(deadline_ns, seq, entry)`` tuples, so
+    ``heapq`` orders it by comparing floats and ints in C.
+    """
+
     __slots__ = ("deadline_ns", "seq", "callback", "cancelled", "core_id",
                  "kick_id", "budget_ns")
 
@@ -58,15 +64,12 @@ class WatchdogEntry:
         self.kick_id = kick_id
         self.budget_ns = budget_ns
 
-    def __lt__(self, other: "WatchdogEntry") -> bool:
-        return (self.deadline_ns, self.seq) < (other.deadline_ns, other.seq)
-
 
 class Watchdog:
     """Shared watchdog timer; one timeline per core's vcpu thread."""
 
     def __init__(self):
-        self._timelines: Dict[int, List[WatchdogEntry]] = {}
+        self._timelines: Dict[int, List[Tuple[float, int, WatchdogEntry]]] = {}
         self._seq = itertools.count()
         self.num_scheduled = 0
         self.num_fired = 0
@@ -93,9 +96,13 @@ class Watchdog:
         """
         if timeout_ns < 0:
             raise ValueError(f"negative watchdog timeout: {timeout_ns}")
-        entry = WatchdogEntry(now_ns + timeout_ns, next(self._seq), callback,
-                              core_id=core_id, kick_id=kick_id, budget_ns=budget_ns)
-        heapq.heappush(self._timelines.setdefault(core_id, []), entry)
+        deadline_ns = now_ns + timeout_ns
+        seq = next(self._seq)
+        entry = WatchdogEntry(deadline_ns, seq, callback, core_id, kick_id, budget_ns)
+        timeline = self._timelines.get(core_id)
+        if timeline is None:
+            timeline = self._timelines[core_id] = []
+        heapq.heappush(timeline, (deadline_ns, seq, entry))
         self.num_scheduled += 1
         return entry
 
@@ -110,8 +117,8 @@ class Watchdog:
         if not timeline:
             return 0
         fired = 0
-        while timeline and timeline[0].deadline_ns <= now_ns:
-            entry = heapq.heappop(timeline)
+        while timeline and timeline[0][0] <= now_ns:
+            entry = heapq.heappop(timeline)[2]
             if entry.cancelled:
                 continue
             entry.callback()
@@ -125,7 +132,8 @@ class Watchdog:
         return fired
 
     def pending(self, core_id: int) -> int:
-        return sum(1 for entry in self._timelines.get(core_id, []) if not entry.cancelled)
+        return sum(1 for _deadline, _seq, entry in self._timelines.get(core_id, [])
+                   if not entry.cancelled)
 
     # -- snapshot support -------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -141,9 +149,8 @@ class Watchdog:
         """
         timelines = {}
         for core_id in sorted(self._timelines):
-            live = sorted((entry for entry in self._timelines[core_id]
-                           if not entry.cancelled),
-                          key=lambda entry: (entry.deadline_ns, entry.seq))
+            live = [entry for _deadline, _seq, entry in sorted(self._timelines[core_id])
+                    if not entry.cancelled]
             if live:
                 timelines[str(core_id)] = [
                     {"deadline_ns": entry.deadline_ns,
@@ -165,14 +172,15 @@ class Watchdog:
         for core_str, entries in state["timelines"].items():
             core_id = int(core_str)
             guard = kick_guards[core_id]
-            timeline: List[WatchdogEntry] = []
+            timeline: List[Tuple[float, int, WatchdogEntry]] = []
             for data in entries:
                 kick_id = data["kick_id"]
-                entry = WatchdogEntry(data["deadline_ns"], next(self._seq),
+                seq = next(self._seq)
+                entry = WatchdogEntry(data["deadline_ns"], seq,
                                       (lambda g=guard, k=kick_id: g.kick(k)),
                                       core_id=core_id, kick_id=kick_id,
                                       budget_ns=data["budget_ns"])
-                timeline.append(entry)
+                timeline.append((entry.deadline_ns, seq, entry))
             heapq.heapify(timeline)
             self._timelines[core_id] = timeline
         self.num_scheduled = state["num_scheduled"]

@@ -89,6 +89,13 @@ class KvmExit:
         )
 
 
+# Bound once: every ``Enum.X`` lookup is a descriptor call on CPython 3.11,
+# and these are the exits of almost every idle quantum.
+_INTR = KvmExitReason.INTR
+_BUDGET = ExitReason.BUDGET
+_WFI = ExitReason.WFI
+
+
 class Kvm:
     """Top-level hypervisor handle (``open("/dev/kvm")``)."""
 
@@ -239,39 +246,29 @@ class Vcpu:
         if self.immediate_exit:
             self.immediate_exit = False
             self.num_intr_exits += 1
-            return KvmExit(KvmExitReason.INTR, elapsed, 0, self._pc())
+            return KvmExit(_INTR, elapsed, 0, self._pc())
         while True:
             budget_left = wall_budget_ns - elapsed
             max_instructions = int(budget_left / ns_per_inst)
             if max_instructions <= 0:
                 elapsed += costs.signal_delivery_ns
                 self.num_intr_exits += 1
-                return KvmExit(KvmExitReason.INTR, max(elapsed, wall_budget_ns),
+                return KvmExit(_INTR, max(elapsed, wall_budget_ns),
                                executed_total, self._pc())
             info = self.executor.run(max_instructions)
+            reason = info.reason
             executed_total += info.instructions
             self.total_instructions += info.instructions
             elapsed += info.instructions * ns_per_inst
-            if info.reason is ExitReason.BUDGET:
+            # The idle exits first: budget exhausted, then the in-kernel
+            # WFI block, which together end almost every idle quantum.
+            if reason is _BUDGET:
                 # Watchdog fires and SIGUSR1 yanks us back to user space.
                 elapsed += costs.signal_delivery_ns
                 self.num_intr_exits += 1
-                return KvmExit(KvmExitReason.INTR, max(elapsed, wall_budget_ns),
+                return KvmExit(_INTR, max(elapsed, wall_budget_ns),
                                executed_total, info.pc)
-            if info.reason is ExitReason.MMIO:
-                self.num_mmio_exits += 1
-                return KvmExit(KvmExitReason.MMIO, elapsed, executed_total,
-                               info.pc, mmio=info.mmio)
-            if info.reason is ExitReason.BREAKPOINT:
-                elapsed += costs.debug_exit_ns
-                self.num_debug_exits += 1
-                return KvmExit(KvmExitReason.DEBUG, elapsed, executed_total, info.pc)
-            if info.reason is ExitReason.EMULATION:
-                elapsed += costs.emulation_exit_ns
-                self.num_emulation_exits += 1
-                return KvmExit(KvmExitReason.EMULATION, elapsed, executed_total,
-                               info.pc)
-            if info.reason is ExitReason.WFI:
+            if reason is _WFI:
                 # In-kernel WFI handling: the vcpu thread blocks until an
                 # interrupt arrives or the watchdog signal ends the run.  No
                 # other simulation progress can happen meanwhile (the models
@@ -284,15 +281,28 @@ class Vcpu:
                 blocked = max(0.0, wall_budget_ns - elapsed)
                 elapsed += blocked + costs.signal_delivery_ns
                 self.num_intr_exits += 1
-                return KvmExit(KvmExitReason.INTR, elapsed, executed_total,
+                return KvmExit(_INTR, elapsed, executed_total,
                                info.pc, blocked_in_wfi=True)
-            if info.reason is ExitReason.HALT:
+            if reason is ExitReason.MMIO:
+                self.num_mmio_exits += 1
+                return KvmExit(KvmExitReason.MMIO, elapsed, executed_total,
+                               info.pc, mmio=info.mmio)
+            if reason is ExitReason.BREAKPOINT:
+                elapsed += costs.debug_exit_ns
+                self.num_debug_exits += 1
+                return KvmExit(KvmExitReason.DEBUG, elapsed, executed_total, info.pc)
+            if reason is ExitReason.EMULATION:
+                elapsed += costs.emulation_exit_ns
+                self.num_emulation_exits += 1
+                return KvmExit(KvmExitReason.EMULATION, elapsed, executed_total,
+                               info.pc)
+            if reason is ExitReason.HALT:
                 return KvmExit(KvmExitReason.SYSTEM_EVENT, elapsed, executed_total,
                                info.pc, halt_code=info.halt_code)
-            if info.reason is ExitReason.ERROR:
+            if reason is ExitReason.ERROR:
                 return KvmExit(KvmExitReason.INTERNAL_ERROR, elapsed, executed_total,
                                info.pc, message=info.message)
-            raise AssertionError(f"unhandled executor exit {info.reason}")  # pragma: no cover
+            raise AssertionError(f"unhandled executor exit {reason}")  # pragma: no cover
 
     def complete_mmio(self, read_data: Optional[bytes] = None) -> None:
         self.executor.complete_mmio(read_data)

@@ -110,8 +110,8 @@ def _serialize_heap(kernel, event_names: Dict[str, Event],
     firing order while keeping snapshot bytes independent of how many
     entries the original kernel ever allocated.
     """
-    live = sorted((entry for entry in kernel._timed if not entry.cancelled),
-                  key=lambda entry: (entry.due.picoseconds, entry.seq))
+    live = [entry for _due_ps, _seq, entry in sorted(kernel._timed)
+            if not entry.cancelled]
     out = []
     for entry in live:
         action = entry.action
@@ -137,7 +137,7 @@ def _serialize_heap(kernel, event_names: Dict[str, Event],
             raise SnapshotError(
                 f"timed-heap entry due at {entry.due} holds a non-introspectable "
                 f"action {action!r} (closure/lambda); see lint rule RPR012")
-        out.append({"due_ps": entry.due.picoseconds, "action": descriptor})
+        out.append({"due_ps": entry.due_ps, "action": descriptor})
     return out
 
 
@@ -232,7 +232,7 @@ def capture_platform(vp, trace: Optional[List[Tuple[str, int, str]]] = None,
         "config": serialize_config(vp.config),
         "software": software_descriptor(vp.software),
         "sim": {
-            "now_ps": kernel._now.picoseconds,
+            "now_ps": kernel._now_ps,
             "delta_count": kernel.delta_count,
             "halted_cores": vp._halted_cores,
         },

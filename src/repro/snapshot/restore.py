@@ -24,13 +24,11 @@ dynamic state from the manifest:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Optional
 
 from ..host.params import IssCostParams, KvmCostParams, SimulationCostParams
 from ..host.wallclock import elapsed_since, wall_clock
-from ..systemc.kernel import _TimedEntry
 from ..systemc.process import Process, ProcessState
 from ..systemc.time import SimTime
 from ..vp.config import VpConfig
@@ -105,7 +103,7 @@ def _rebuild_heap(vp, manifest: dict) -> None:
     events, owners = build_registries(vp)
     processes = {cpu._thread.name: cpu._thread for cpu in vp.cpus}
     for item in manifest["kernel"]["timed"]:
-        due = SimTime(item["due_ps"])
+        due_ps = item["due_ps"]
         descriptor = item["action"]
         kind = descriptor["type"]
         if kind == "process":
@@ -113,7 +111,7 @@ def _rebuild_heap(vp, manifest: dict) -> None:
             if process is None:
                 raise SnapshotError(
                     f"heap entry references unknown process {descriptor['process']!r}")
-            entry = kernel._schedule_timed_wakeup(process, due,
+            entry = kernel._schedule_timed_wakeup(process, due_ps,
                                                   timeout=descriptor["timeout"])
             # Mirror Process._arm: the waiting process owns the handle so a
             # later event wake cancels the stale timer.
@@ -123,6 +121,7 @@ def _rebuild_heap(vp, manifest: dict) -> None:
             if event is None:
                 raise SnapshotError(
                     f"heap entry references unknown event {descriptor['event']!r}")
+            due = SimTime(due_ps)
             entry = kernel._schedule_timed_notification(event, due)
             event._pending_time = due
             event._pending_delta = False
@@ -137,8 +136,7 @@ def _rebuild_heap(vp, manifest: dict) -> None:
                 raise SnapshotError(
                     f"owner {descriptor['owner']!r} has no method "
                     f"{descriptor['method']!r}")
-            entry = _TimedEntry(due, next(kernel._seq), method)
-            heapq.heappush(kernel._timed, entry)
+            entry = kernel._push_timed(due_ps, method)
             handle_attr = _METHOD_HANDLE_ATTR.get(descriptor["method"])
             if handle_attr is not None:
                 setattr(owner, handle_attr, entry)
@@ -196,7 +194,7 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     kernel._update_request_ids.clear()
     kernel._timed = []
     kernel._seq = itertools.count()
-    kernel._now = SimTime(manifest["sim"]["now_ps"])
+    kernel._set_now(manifest["sim"]["now_ps"])
     kernel.delta_count = manifest["sim"]["delta_count"]
     vp._halted_cores = manifest["sim"]["halted_cores"]
 

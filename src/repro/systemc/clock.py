@@ -13,7 +13,7 @@ from typing import Optional
 
 from .event import Event
 from .kernel import Kernel, current_kernel
-from .time import SimTime
+from .time import SEC, SimTime
 
 
 class Clock:
@@ -44,11 +44,22 @@ class Clock:
 
     def cycles_to_time(self, cycles: int) -> SimTime:
         """Duration of ``cycles`` clock cycles."""
-        return SimTime(round(cycles * 1_000_000_000_000 / self._frequency))
+        return SimTime(self.cycles_to_ps(cycles))
 
     def time_to_cycles(self, duration: SimTime) -> int:
         """Whole cycles that fit in ``duration`` (floor)."""
-        return int(duration.to_seconds() * self._frequency)
+        return self.ps_to_cycles(duration.picoseconds)
+
+    # The int forms the processor loop runs on.  Their float operations are
+    # the modeled clock: reordering them (``ps * f / SEC``, say) rounds
+    # differently for some inputs and moves the golden results.
+    def cycles_to_ps(self, cycles: int) -> int:
+        """:meth:`cycles_to_time` as an int of picoseconds."""
+        return round(cycles * SEC / self._frequency)
+
+    def ps_to_cycles(self, picoseconds: int) -> int:
+        """:meth:`time_to_cycles` of an int of picoseconds."""
+        return int(picoseconds / SEC * self._frequency)
 
     def start_ticking(self) -> None:
         """Generate posedge events every period (only if a model needs them)."""

@@ -22,11 +22,16 @@ import heapq
 import itertools
 import threading
 from collections import deque
-from typing import Callable, Deque, Generator, List, Optional, Set
+from typing import Callable, Deque, Generator, List, Optional, Set, Tuple
 
 from .event import Event
 from .process import MethodProcess, Process, ProcessState
 from .time import SimTime
+
+# Bound once: every ``ProcessState.X`` lookup is a descriptor call on
+# CPython 3.11, and both are tested on every dispatch.
+_SUSPENDED = ProcessState.SUSPENDED
+_FINISHED = ProcessState.FINISHED
 
 
 class _KernelContext(threading.local):
@@ -83,24 +88,27 @@ class _ProcessWakeup:
         self.timeout = timeout
 
     def __call__(self) -> None:
-        self.process._wake(self.kernel, timed_out=self.timeout)
+        self.process._wake(self.kernel, self.timeout)
 
 
 class _TimedEntry:
-    """A cancellable entry in the timed-notification heap."""
+    """A cancellable entry in the timed-notification heap.
 
-    __slots__ = ("due", "seq", "action", "cancelled")
+    The heap itself holds ``(due_ps, seq, entry)`` tuples, so ``heapq``
+    orders entries by integer comparison in C; the entry is the handle a
+    scheduler hands back for cancellation.
+    """
 
-    def __init__(self, due: SimTime, seq: int, action: Callable[[], None]):
-        self.due = due
-        self.seq = seq
+    __slots__ = ("due_ps", "action", "cancelled")
+
+    def __init__(self, due_ps: int, action: Callable[[], None]):
+        self.due_ps = due_ps
         self.action = action
         self.cancelled = False
 
-    def __lt__(self, other: "_TimedEntry") -> bool:
-        if self.due.picoseconds != other.due.picoseconds:
-            return self.due.picoseconds < other.due.picoseconds
-        return self.seq < other.seq
+    @property
+    def due(self) -> SimTime:
+        return SimTime(self.due_ps)
 
 
 class SimulationStopped(Exception):
@@ -250,11 +258,14 @@ class Kernel:
 
     def __init__(self):
         self._now = SimTime.zero()
+        #: ``_now`` as a plain int; what the scheduler and the quantum path
+        #: compute with (both are set together by :meth:`_set_now`)
+        self._now_ps = 0
         self._runnable: Deque[Process] = deque()
         self._runnable_set = set()
         self._delta_events: List[Event] = []
         self._delta_wakeups: List[Process] = []
-        self._timed: List[_TimedEntry] = []
+        self._timed: List[Tuple[int, int, _TimedEntry]] = []
         self._seq = itertools.count()
         self._processes: List[Process] = []
         self._methods: Deque[MethodProcess] = deque()
@@ -291,6 +302,10 @@ class Kernel:
     def now(self) -> SimTime:
         return self._now
 
+    def _set_now(self, now_ps: int) -> None:
+        self._now_ps = now_ps
+        self._now = SimTime(now_ps)
+
     @property
     def current_process(self) -> Optional[Process]:
         return self._current_process
@@ -301,11 +316,11 @@ class Kernel:
     # -- scheduling hooks (used by Event/Process) ------------------------------
 
     def _make_runnable(self, process: Process) -> None:
-        if process.finished:
+        if process.state is _FINISHED:
             return
-        if id(process) not in self._runnable_set:
+        if process not in self._runnable_set:
             self._runnable.append(process)
-            self._runnable_set.add(id(process))
+            self._runnable_set.add(process)
 
     def _trigger_event(self, event: Event) -> None:
         # Immediate notification: wake all waiters right now.
@@ -318,21 +333,26 @@ class Kernel:
     def _schedule_delta_wakeup(self, process: Process) -> None:
         self._delta_wakeups.append(process)
 
-    def _schedule_timed_notification(self, event: Event, due: SimTime) -> _TimedEntry:
-        entry = _TimedEntry(due, next(self._seq), event._fire)
-        heapq.heappush(self._timed, entry)
+    def _push_timed(self, due_ps: int, action: Callable[[], None]) -> _TimedEntry:
+        """The one way into the timed heap: ``action`` runs at ``due_ps``.
+
+        Entries due at the same time run in push (FIFO) order.
+        """
+        seq = next(self._seq)
+        entry = _TimedEntry(due_ps, action)
+        heapq.heappush(self._timed, (due_ps, seq, entry))
         return entry
 
-    def _schedule_timed_wakeup(self, process: Process, due: SimTime, timeout: bool = False) -> _TimedEntry:
-        entry = _TimedEntry(due, next(self._seq), _ProcessWakeup(self, process, timeout))
-        heapq.heappush(self._timed, entry)
-        return entry
+    def _schedule_timed_notification(self, event: Event, due: SimTime) -> _TimedEntry:
+        return self._push_timed(due.picoseconds, event._fire)
+
+    def _schedule_timed_wakeup(self, process: Process, due_ps: int,
+                               timeout: bool = False) -> _TimedEntry:
+        return self._push_timed(due_ps, _ProcessWakeup(self, process, timeout))
 
     def schedule_callback(self, delay: SimTime, callback: Callable[[], None]) -> _TimedEntry:
         """Run ``callback`` after ``delay`` simulated time (kernel context)."""
-        entry = _TimedEntry(self._now + delay, next(self._seq), callback)
-        heapq.heappush(self._timed, entry)
-        return entry
+        return self._push_timed((self._now + delay).picoseconds, callback)
 
     def _queue_method(self, method: MethodProcess) -> None:
         self._methods.append(method)
@@ -359,7 +379,7 @@ class Kernel:
         called.  Returns the simulation time reached.
         """
         _context.stack.append(self)
-        deadline = None if duration is None else self._now + duration
+        deadline = None if duration is None else (self._now + duration).picoseconds
         self._stop_requested = False
         self._running = True
         try:
@@ -380,69 +400,75 @@ class Kernel:
             self._running = False
             _context.stack.pop()
         if (not self._stop_requested and deadline is not None
-                and self._now < deadline and not self.pending_activity()):
-            self._now = deadline
+                and self._now_ps < deadline and not self.pending_activity()):
+            self._set_now(deadline)
         return self._now
 
     # -- internals --------------------------------------------------------------
     def _delta_cycle(self) -> None:
         """One evaluate/update/delta-notify cycle at the current time."""
-        progressed = bool(self._runnable or self._methods)
+        runnable, methods = self._runnable, self._methods
+        progressed = bool(runnable or methods)
         # Evaluation phase.
-        while self._runnable or self._methods:
-            while self._methods:
-                method = self._methods.popleft()
+        while runnable or methods:
+            while methods:
+                method = methods.popleft()
                 hook = self.trace_hook
                 if hook is not None:
-                    hook("method", self._now.picoseconds, method.name)
+                    hook("method", self._now_ps, method.name)
                 method._run()
-            if not self._runnable:
+            if not runnable:
                 break
-            process = self._runnable.popleft()
-            self._runnable_set.discard(id(process))
-            if process.finished or process.state == ProcessState.SUSPENDED:
+            process = runnable.popleft()
+            self._runnable_set.discard(process)
+            state = process.state
+            if state is _FINISHED or state is _SUSPENDED:
                 continue
             self._current_process = process
             try:
                 hook = self.trace_hook
                 if hook is not None:
-                    hook("step", self._now.picoseconds, process.name)
+                    hook("step", self._now_ps, process.name)
                 process._step(self)
             finally:
                 self._current_process = None
             if self._stop_requested:
                 return
         # Update phase.
-        updates, self._update_requests = self._update_requests, []
-        self._update_request_ids.clear()
-        for channel in updates:
-            channel._update()
+        if self._update_requests:
+            updates, self._update_requests = self._update_requests, []
+            self._update_request_ids.clear()
+            for channel in updates:
+                channel._update()
         # Delta notification phase.
-        delta_events, self._delta_events = self._delta_events, []
-        delta_wakeups, self._delta_wakeups = self._delta_wakeups, []
-        for event in delta_events:
-            event._fire()
-        for process in delta_wakeups:
-            process._wake(self)
-        if progressed or delta_events or delta_wakeups:
-            self.delta_count += 1
+        delta_events, delta_wakeups = self._delta_events, self._delta_wakeups
+        if delta_events or delta_wakeups:
+            self._delta_events, self._delta_wakeups = [], []
+            for event in delta_events:
+                event._fire()
+            for process in delta_wakeups:
+                process._wake(self)
+        elif not progressed:
+            return
+        self.delta_count += 1
 
-    def _advance_time(self, deadline: Optional[SimTime]) -> bool:
+    def _advance_time(self, deadline_ps: Optional[int]) -> bool:
         """Pop the earliest timed entries; return False when simulation ends."""
-        while self._timed and self._timed[0].cancelled:
-            heapq.heappop(self._timed)
-        if not self._timed:
+        timed = self._timed
+        while timed and timed[0][2].cancelled:
+            heapq.heappop(timed)
+        if not timed:
             return False
-        due = self._timed[0].due
-        if deadline is not None and due > deadline:
-            self._now = deadline
+        due_ps = timed[0][0]
+        if deadline_ps is not None and due_ps > deadline_ps:
+            self._set_now(deadline_ps)
             return False
-        self._now = due
+        self._set_now(due_ps)
         hook = self.time_hook
         if hook is not None:
-            hook(due.picoseconds)
-        while self._timed and self._timed[0].due == due:
-            entry = heapq.heappop(self._timed)
+            hook(due_ps)
+        while timed and timed[0][0] == due_ps:
+            entry = heapq.heappop(timed)[2]
             if not entry.cancelled:
                 entry.action()
         return True

@@ -49,6 +49,14 @@ class ProcessState(enum.Enum):
     FINISHED = "finished"
 
 
+# Bound once: on CPython 3.11 every ``ProcessState.X`` lookup is a
+# descriptor call, and the scheduler tests states on every dispatch.
+_READY = ProcessState.READY
+_WAITING = ProcessState.WAITING
+_SUSPENDED = ProcessState.SUSPENDED
+_FINISHED = ProcessState.FINISHED
+
+
 class Process:
     """An ``SC_THREAD``-like coroutine process."""
 
@@ -57,30 +65,28 @@ class Process:
         self._body_fn = body
         self._kernel = kernel
         self._generator: Optional[Generator] = None
-        self.state = ProcessState.READY
+        self.state = _READY
         self.timed_out = False
         self._waiting_events: tuple = ()
         self._timeout_handle = None
         self._suspend_pending_wake = False
 
     # -- lifecycle --------------------------------------------------------
-    def _start(self) -> None:
-        if self._generator is None:
-            self._generator = self._body_fn()
-
     @property
     def finished(self) -> bool:
-        return self.state == ProcessState.FINISHED
+        return self.state is _FINISHED
 
     # -- stepping (kernel only) --------------------------------------------
     def _step(self, kernel: "Kernel") -> None:
         """Advance the coroutine to its next wait statement."""
-        self._start()
-        self.state = ProcessState.READY
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = self._body_fn()
+        self.state = _READY
         try:
-            wait_spec = self._generator.send(None)
+            wait_spec = generator.send(None)
         except StopIteration:
-            self.state = ProcessState.FINISHED
+            self.state = _FINISHED
             self._clear_waits()
             return
         self._arm(wait_spec, kernel)
@@ -89,12 +95,15 @@ class Process:
         """Register the wait condition returned by the last ``yield``."""
         self._clear_waits()
         self.timed_out = False
-        self.state = ProcessState.WAITING
+        self.state = _WAITING
         if wait_spec is None:
             kernel._schedule_delta_wakeup(self)
             return
-        if isinstance(wait_spec, SimTime):
-            self._timeout_handle = kernel._schedule_timed_wakeup(self, kernel.now + wait_spec)
+        # The exact-type test first: a plain SimTime is what every quantum
+        # sync yields.
+        if type(wait_spec) is SimTime or isinstance(wait_spec, SimTime):
+            self._timeout_handle = kernel._schedule_timed_wakeup(
+                self, kernel._now_ps + wait_spec.picoseconds)
             return
         if isinstance(wait_spec, Event):
             wait_spec._attach(kernel)
@@ -113,7 +122,7 @@ class Process:
                 event._add_waiter(self)
             self._waiting_events = tuple(wait_spec.events)
             self._timeout_handle = kernel._schedule_timed_wakeup(
-                self, kernel.now + wait_spec.timeout, timeout=True
+                self, kernel._now_ps + wait_spec.timeout.picoseconds, timeout=True
             )
             return
         raise TypeError(f"process {self.name!r} yielded unsupported wait spec: {wait_spec!r}")
@@ -128,9 +137,10 @@ class Process:
 
     # -- wakeups ------------------------------------------------------------
     def _wake(self, kernel: "Kernel", timed_out: bool = False) -> None:
-        if self.state == ProcessState.FINISHED:
+        state = self.state
+        if state is _FINISHED:
             return
-        if self.state == ProcessState.SUSPENDED:
+        if state is _SUSPENDED:
             # Remember that the wake happened; deliver on resume.
             self._suspend_pending_wake = True
             self.timed_out = timed_out
@@ -138,26 +148,26 @@ class Process:
             return
         self._clear_waits()
         self.timed_out = timed_out
-        self.state = ProcessState.READY
+        self.state = _READY
         kernel._make_runnable(self)
 
     # -- suspend / resume (sc_process_handle::suspend) -----------------------
     def suspend(self) -> None:
-        if self.state in (ProcessState.FINISHED,):
+        if self.state is _FINISHED:
             return
-        if self.state != ProcessState.SUSPENDED:
+        if self.state is not _SUSPENDED:
             self._suspend_pending_wake = False
-            self.state = ProcessState.SUSPENDED
+            self.state = _SUSPENDED
 
     def resume(self, kernel: "Kernel") -> None:
-        if self.state != ProcessState.SUSPENDED:
+        if self.state is not _SUSPENDED:
             return
         if self._suspend_pending_wake:
             self._suspend_pending_wake = False
-            self.state = ProcessState.READY
+            self.state = _READY
             kernel._make_runnable(self)
         else:
-            self.state = ProcessState.WAITING
+            self.state = _WAITING
 
     def __repr__(self) -> str:
         return f"Process({self.name!r}, {self.state.value})"

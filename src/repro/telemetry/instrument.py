@@ -62,7 +62,6 @@ class Telemetry:
         #: (key, platform, HostTimeline or None) per attached platform
         self.platforms: List[Tuple[str, object, Optional[HostTimeline]]] = []
         self._wraps = WrapSet()
-        self._watchdog_now: Optional[float] = None
         self._attached = True
 
     # -- wrapping machinery -------------------------------------------------
@@ -121,6 +120,11 @@ class Telemetry:
     # -- watchdog -------------------------------------------------------------
     def _attach_watchdog(self, watchdog) -> None:
         registry = self.registry
+        # The watchdog thread's current wakeup time, shared by the wrappers
+        # below.  A one-slot list, not an attribute of self: armed entries
+        # keep their observed_callback closures alive after detach, and
+        # through self they would keep every platform of the scope alive.
+        watchdog_now: List[Optional[float]] = [None]
 
         def make_schedule(original):
             def schedule(core_id, now_ns, timeout_ns, callback, **meta):
@@ -129,7 +133,7 @@ class Telemetry:
 
                 def observed_callback():
                     registry.counter("watchdog.fired", core=core_id).inc()
-                    fire_now = self._watchdog_now
+                    fire_now = watchdog_now[0]
                     if fire_now is not None:
                         registry.histogram(
                             "watchdog.fire_margin_ns", core=core_id,
@@ -144,12 +148,12 @@ class Telemetry:
             def advance(core_id, now_ns):
                 # Expose the watchdog thread's wakeup time to the fire
                 # callbacks so the margin histogram sees modeled time only.
-                saved = self._watchdog_now
-                self._watchdog_now = now_ns
+                saved = watchdog_now[0]
+                watchdog_now[0] = now_ns
                 try:
                     return original(core_id, now_ns)
                 finally:
-                    self._watchdog_now = saved
+                    watchdog_now[0] = saved
             return advance
 
         self._wrap(watchdog, "schedule", make_schedule)

@@ -44,6 +44,13 @@ class SimulateAction(enum.Enum):
     BREAK = "break"      # debugger stop: pause this core, stop the kernel
 
 
+# Bound once: every ``SimulateAction.X`` lookup is a descriptor call on
+# CPython 3.11, and the processor loop tests the action on every quantum.
+_HALT = SimulateAction.HALT
+_BREAK = SimulateAction.BREAK
+_WAIT_IRQ = SimulateAction.WAIT_IRQ
+
+
 class SimulateResult:
     """Outcome of one backend ``simulate`` call."""
 
@@ -141,7 +148,7 @@ class Processor(Component):
             lane = self.host_ledger.MAIN_LANE
         else:
             lane = self.core_id
-        window = self.keeper.current_time() // self.host_ledger.window_size
+        window = self.keeper.current_time_ps() // self.host_ledger.window_ps
         self.host_ledger.add(window, lane, nanoseconds, category)
 
     # -- backend interface ------------------------------------------------------------
@@ -165,57 +172,63 @@ class Processor(Component):
 
     # -- the simulation loop -------------------------------------------------------------
     def _processor_thread(self):
+        # Simulated time stays an int of picoseconds here; the only SimTime
+        # built per quantum is the one sync_wait() hands the kernel.
+        keeper = self.keeper
         while not self.halted and not self.wants_stop():
             if self.in_reset:
                 self._park = "reset"
                 yield self.rst.deasserted_event
                 continue
-            remaining = self.keeper.remaining()
-            if remaining.is_zero():
+            remaining_ps = keeper.remaining_ps()
+            if remaining_ps == 0:
                 self.num_syncs += 1
                 self._park = "sync"
-                yield self.keeper.sync_wait()
+                yield keeper.sync_wait()
                 continue
-            cycles = self.time_to_cycles(remaining)
+            clk = self._require_clock()
+            cycles = clk.ps_to_cycles(remaining_ps)
             if cycles <= 0:
                 # Quantum finer than one clock cycle: force minimal progress.
                 cycles = 1
             result = self._invoke_simulate(cycles)
-            self.total_cycles += result.cycles
-            self.keeper.inc(self.cycles_to_time(result.cycles))
-            if result.action is SimulateAction.HALT:
+            consumed = result.cycles
+            self.total_cycles += consumed
+            keeper.inc_ps(clk.cycles_to_ps(consumed))
+            action = result.action
+            if action is _HALT:
                 self.halted = True
                 self.num_syncs += 1
                 self._park = "sync"
-                yield self.keeper.sync_wait()
+                yield keeper.sync_wait()
                 break
-            if result.action is SimulateAction.BREAK:
+            if action is _BREAK:
                 # Debugger stop: realize local time, park until resumed,
                 # and hand control back to the host (the debugger).
                 self.num_syncs += 1
                 self._park = "break_sync"
-                yield self.keeper.sync_wait()
+                yield keeper.sync_wait()
                 self.debug_paused = True
                 self.kernel.stop()
                 self._park = "debug"
                 yield self.debug_resume_event
                 self.debug_paused = False
                 continue
-            if result.action is SimulateAction.WAIT_IRQ:
+            if action is _WAIT_IRQ:
                 # Realize local time, then sleep until an interrupt arrives.
                 self.num_syncs += 1
                 self._park = "wait_irq_sync"
-                yield self.keeper.sync_wait()
+                yield keeper.sync_wait()
                 if not self.irq_pending():
                     self.waiting_for_irq = True
                     self._park = "wait_irq"
                     yield self.irq_event
                     self.waiting_for_irq = False
                 continue
-            if self.keeper.need_sync():
+            if keeper.need_sync():
                 self.num_syncs += 1
                 self._park = "sync"
-                yield self.keeper.sync_wait()
+                yield keeper.sync_wait()
         self.on_halt()
         if self.halt_callback is not None:
             self.halt_callback(self)

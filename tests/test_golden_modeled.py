@@ -18,6 +18,11 @@ see moves.
   two-core AoA platform to the boot-done marker.  The Dhrystone rows
   make no MMIO accesses; this row makes 1314, so it is the one that
   drives KvmCpu MMIO completion through ``MemoryPort`` and the router.
+* ``boot-aoa-idle-8c`` — the same boot at scale 0.1 on an eight-core
+  platform with a 100 µs quantum: the idle-quantum path perfbench's
+  ``boot_idle`` runs, where every quantum is a KVM run that the watchdog
+  ends, a host-time billing and a kernel sync.  It pins the integer
+  picosecond arithmetic of the kernel, quantum keeper and billing path.
 * ``fig5-observed`` — the Fig. 5 experiment at scale 0.002 under
   :func:`repro.obs.observing`, aggregated over its 48 platforms: total
   instructions, modeled wall time, attribution windows, MIPS and the six
@@ -87,6 +92,20 @@ GOLDEN = {
         "sim_seconds": 0.095372938,
         "wall_seconds": 0.1975995966,
     },
+    "boot-aoa-idle-8c": {
+        "boot_seconds": 0.09220844,
+        "counters": {
+            "num_bus_errors": 0,
+            "num_mmio": 3678,
+            "num_simulate_calls": 10775,
+            "num_syncs": 7097,
+            "num_wfi_suspends": 0,
+        },
+        "digest": "2ebdc27253d2bac97be90ade7bf634f1f194f6b74a2b1bbf03d03fb6cca1567a",
+        "instructions": 644226639,
+        "sim_seconds": 0.09220844,
+        "wall_seconds": 0.7577710673999972,
+    },
     "fig5-observed": {
         "instructions": 612000180,
         "mips": 1568.1236972087404,
@@ -131,13 +150,13 @@ def _interpreted(kind):
     }
 
 
-def _traced_workload(software, quantum_us, parallel, **run_kwargs):
-    """DET001 digest and ``RunMetrics`` of one two-core AoA run."""
+def _traced_workload(software, quantum_us, parallel, cores=2, **run_kwargs):
+    """DET001 digest and ``RunMetrics`` of one AoA run (two cores by default)."""
     holder = {}
 
     def action():
         holder["metrics"] = run_workload(
-            "aoa", make_config(2, quantum_us, parallel), software(), **run_kwargs)
+            "aoa", make_config(cores, quantum_us, parallel), software(), **run_kwargs)
 
     trace = trace_run(action)
     return trace.digest(), holder["metrics"]
@@ -168,10 +187,10 @@ def _dhrystone_sequential():
     return {"digest": digest}
 
 
-def _linux_boot():
+def _linux_boot(cores, scale, quantum_us):
     digest, metrics = _traced_workload(
-        lambda: linux_boot_software(2, LinuxBootParams().scaled(0.01)),
-        1000.0, False, stop_on_boot=True, max_sim_seconds=3_000.0)
+        lambda: linux_boot_software(cores, LinuxBootParams().scaled(scale)),
+        quantum_us, False, cores, stop_on_boot=True, max_sim_seconds=3_000.0)
     return dict(_metrics_row(digest, metrics), boot_seconds=metrics.boot_seconds)
 
 
@@ -204,7 +223,8 @@ RUNS = {
     "interp-avp64": lambda: _interpreted("avp64"),
     "dhry-aoa-parallel-1ms": _dhrystone_parallel,
     "dhry-aoa-sequential-100us": _dhrystone_sequential,
-    "boot-aoa-mmio": _linux_boot,
+    "boot-aoa-mmio": lambda: _linux_boot(2, 0.01, 1000.0),
+    "boot-aoa-idle-8c": lambda: _linux_boot(8, 0.1, 100.0),
     "fig5-observed": _fig5_observed,
 }
 

@@ -4,7 +4,10 @@ thread-local kernel context."""
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.systemc.clock import Clock
 from repro.systemc.event import Event, any_of
 from repro.systemc.kernel import Kernel, current_kernel, set_ambient_kernel
 from repro.systemc.process import ProcessState, WaitTimeout
@@ -53,7 +56,10 @@ class TestTimedWaits:
         kernel.spawn(body)
         end = kernel.run(SimTime.ns(35))
         assert log == [10.0, 20.0, 30.0]
-        assert end <= SimTime.ns(35)
+        # Exactly at the deadline, with the 40 ns wakeup still pending.
+        assert end == kernel.now == SimTime.ns(35)
+        assert kernel.run(SimTime.ns(5)) == SimTime.ns(40)
+        assert log == [10.0, 20.0, 30.0, 40.0]
 
     def test_run_without_activity_returns(self, kernel):
         assert kernel.run() == SimTime.zero()
@@ -76,6 +82,77 @@ class TestTimedWaits:
         kernel.spawn(make("c"))
         kernel.run()
         assert log == ["a", "b", "c"]
+
+
+class TestIntegerTime:
+    """The scheduler keeps time as an int of picoseconds; these pin what it
+    must still do exactly as the ``SimTime`` version did."""
+
+    def test_same_time_entries_fire_in_scheduling_order(self, kernel):
+        log = []
+        event = Event("e", kernel)
+
+        def sleeper():
+            yield SimTime.ns(10)
+            log.append("sleeper")
+
+        def listener():
+            yield event
+            log.append("listener")
+
+        kernel.schedule_callback(SimTime.ns(10), lambda: log.append("first"))
+        kernel.spawn(sleeper)
+        kernel.spawn(listener)
+        kernel.run(SimTime.ns(3))
+        # Every timed entry is due at 10 ns; they were pushed in the order
+        # first, sleeper's wakeup, second, the event, third.
+        kernel.schedule_callback(SimTime.ns(7), lambda: log.append("second"))
+        event.notify(SimTime.ns(7))
+        kernel.schedule_callback(SimTime.ns(7), lambda: log.append("third"))
+        kernel.run()
+        # Callbacks log as they fire; the two processes log when stepped,
+        # in the order their entries made them runnable.
+        assert log == ["first", "second", "third", "sleeper", "listener"]
+        assert kernel.now == SimTime.ns(10)
+
+    def test_cancelled_entries_never_run(self, kernel):
+        log = []
+        head = kernel.schedule_callback(SimTime.ns(5), lambda: log.append("head"))
+        twin = kernel.schedule_callback(SimTime.ns(8), lambda: log.append("twin"))
+        kernel.schedule_callback(SimTime.ns(8), lambda: log.append("live"))
+        tail = kernel.schedule_callback(SimTime.ns(20), lambda: log.append("tail"))
+        head.cancelled = twin.cancelled = tail.cancelled = True
+        event = Event("e", kernel)
+
+        def waiter():
+            # The event wins, so the 50 ns timeout entry is cancelled.
+            yield WaitTimeout(SimTime.ns(50), event)
+            log.append(("woken", kernel.now.to_ns(), kernel.current_process.timed_out))
+
+        kernel.spawn(waiter)
+        event.notify(SimTime.ns(12))
+        end = kernel.run()
+        assert log == ["live", ("woken", 12.0, False)]
+        # Nothing but cancelled entries was left: time stops at the last
+        # live one, not at a cancelled entry's due time.
+        assert end == SimTime.ns(12)
+        assert not kernel.pending_activity()
+
+    @given(st.integers(min_value=0, max_value=10**15),
+           st.integers(min_value=0, max_value=10**12),
+           st.one_of(st.sampled_from([1e9, 2.4e9, 3.2e9, 62.5e6, 1e6 / 3]),
+                     st.floats(min_value=1e3, max_value=1e10)))
+    def test_int_conversions_match_the_simtime_formulas(self, picoseconds, cycles,
+                                                        frequency):
+        # The processor loop converts with Clock.ps_to_cycles/cycles_to_ps.
+        # Each must round exactly like the SimTime formula it replaced.
+        clock = Clock("clk", frequency, Kernel())
+        expected_cycles = int(SimTime(picoseconds).to_seconds() * frequency)
+        assert clock.ps_to_cycles(picoseconds) == expected_cycles
+        assert clock.time_to_cycles(SimTime(picoseconds)) == expected_cycles
+        expected_ps = round(cycles * 1_000_000_000_000 / frequency)
+        assert clock.cycles_to_ps(cycles) == expected_ps
+        assert clock.cycles_to_time(cycles) == SimTime(expected_ps)
 
 
 class TestEvents:
@@ -273,7 +350,9 @@ class TestMethodsAndCallbacks:
 
     def test_schedule_callback(self, kernel):
         calls = []
-        kernel.schedule_callback(SimTime.ns(5), lambda: calls.append(kernel.now.to_ns()))
+        entry = kernel.schedule_callback(SimTime.ns(5),
+                                         lambda: calls.append(kernel.now.to_ns()))
+        assert type(entry.due) is SimTime and entry.due == SimTime.ns(5)
         kernel.run()
         assert calls == [5.0]
 

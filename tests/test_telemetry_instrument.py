@@ -7,10 +7,14 @@ timeline tiles to exactly the ledger's wall-clock fold in both sequential
 (sum) and parallel (max) modes.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.determinism import trace_run
 from repro.arch.assembler import assemble
+from repro.systemc.kernel import current_kernel
 from repro.systemc.time import SimTime
 from repro.telemetry import MetricsRegistry, Telemetry, collecting, enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
@@ -156,6 +160,23 @@ class TestAttachment:
         assert vp.telemetry is None
         vp2 = make_vp()
         assert vp2.telemetry is None
+
+    def test_collecting_scope_does_not_keep_its_platforms_alive(self):
+        refs = []
+        with collecting():
+            for _ in range(3):
+                vp = make_vp()
+                vp.run(SimTime.ms(1))
+                # Runs that ended on an MMIO exit leave their watchdog
+                # timers armed: the entries the scope's closures sit in.
+                assert any(vp.watchdog.pending(cpu.core_id) for cpu in vp.cpus)
+                refs.append(weakref.ref(vp))
+            del vp
+        gc.collect()
+        # Only the platform of the thread's ambient kernel may survive.
+        alive = [ref() for ref in refs if ref() is not None]
+        assert all(vp.kernel is current_kernel() for vp in alive)
+        assert len(alive) <= 1
 
 
 class TestMetricsCapture:

@@ -194,6 +194,29 @@ class TestQuantumKeeper:
         with pytest.raises(TypeError):
             quantum.quantum = 5
 
+    def test_constructor_applies_the_setter_checks(self):
+        # A zero quantum would spin the processor loop in zero-time syncs.
+        with pytest.raises(ValueError):
+            GlobalQuantum(SimTime.zero())
+        with pytest.raises(TypeError):
+            GlobalQuantum(1_000_000)
+
+    def test_int_helpers_match_the_simtime_api(self):
+        kernel = Kernel()
+        keeper = QuantumKeeper(GlobalQuantum(SimTime.us(1)), kernel)
+        keeper.inc_ps(400_000)
+        assert keeper.remaining_ps() == keeper.remaining().picoseconds == 600_000
+        assert keeper.current_time_ps() == keeper.current_time().picoseconds == 400_000
+        keeper.inc_ps(700_000)
+        assert keeper.remaining_ps() == 0
+        assert keeper.sync_wait() == SimTime.ns(1100)
+        assert keeper.local_time_offset == SimTime.zero()
+
+    def test_inc_rejects_a_non_simtime(self):
+        keeper = QuantumKeeper(GlobalQuantum(SimTime.us(1)), Kernel())
+        with pytest.raises(TypeError):
+            keeper.inc(400)
+
     def test_inc_and_need_sync(self):
         kernel = Kernel()
         keeper = QuantumKeeper(GlobalQuantum(SimTime.us(1)), kernel)
