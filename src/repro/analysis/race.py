@@ -16,7 +16,7 @@ SAN005 finding naming both access sites.
 
 Approximations (both deliberately conservative):
 
-* reading a *mutable container* attribute (dict/list/set/bytearray/deque)
+* reading a *mutable container* attribute (dict/list/set/bytearray/mmap/deque)
   counts as a write — the caller may mutate the container in place, which
   ``__setattr__`` would never see (``self._windows[w][l] += ns`` performs
   only a *read* of ``_windows``);
@@ -52,6 +52,7 @@ provided.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import re
 import sys
 from collections import deque
@@ -71,7 +72,7 @@ _active_scope: Optional["RaceScope"] = None
 
 #: attribute reads of these types count as writes (in-place mutation is
 #: invisible to ``__setattr__``)
-_MUTABLE_CONTAINERS = (dict, list, set, bytearray, deque)
+_MUTABLE_CONTAINERS = (dict, list, set, bytearray, mmap.mmap, deque)
 
 #: marker for patching a dunder the class did not define itself
 _ABSENT = object()

@@ -16,7 +16,10 @@ This rule flags the same class of state statically, at the assignment site:
 * ``self.x = lambda ...`` — a timed callback bound to a lambda has no
   (owner, method-name) descriptor, so a pending occurrence is uncapturable;
 * ``self.x = threading.Thread/Lock/...()``, ``queue.Queue()`` — host
-  concurrency primitives are per-process state, not guest state.
+  concurrency primitives are per-process state, not guest state;
+* ``self.x = mmap.mmap(fd, ...)`` — a file-backed mapping holds an fd.
+  The anonymous form ``mmap.mmap(-1, ...)`` is plain memory (guest RAM is
+  one) and passes.
 
 Storing a *path* and opening it on demand, using handles inside ``with``
 blocks, or defining a real method instead of a lambda all pass.  Like the
@@ -28,7 +31,7 @@ e.g. an interactive UART backend, should stay out of the default pass).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Dict, Iterator, Optional
 
 from ..engine import LintContext, Rule, SourceModule, register
 from ..findings import Finding, Severity
@@ -53,6 +56,7 @@ _HANDLE_MODULE_CALLS = {
                   "BoundedSemaphore", "Barrier", "Timer", "local"},
     "queue": {"Queue", "LifoQueue", "PriorityQueue", "SimpleQueue"},
     "multiprocessing": {"Process", "Queue", "Pipe", "Lock", "Event", "Pool"},
+    "mmap": {"mmap"},
 }
 
 
@@ -67,6 +71,22 @@ def _module_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
             if name in _MODULE_BASES:
                 yield node
                 break
+
+
+def _anonymous_mmap(value: ast.AST, bare: Dict[str, str]) -> bool:
+    """``mmap.mmap(-1, ...)``: anonymous memory with no fd behind it."""
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    if isinstance(func, ast.Attribute):
+        is_mmap = (isinstance(func.value, ast.Name)
+                   and (func.value.id, func.attr) == ("mmap", "mmap"))
+    else:
+        is_mmap = isinstance(func, ast.Name) and bare.get(func.id) == "mmap"
+    fd = value.args[0] if value.args else next(
+        (keyword.value for keyword in value.keywords if keyword.arg == "fileno"), None)
+    return (is_mmap and isinstance(fd, ast.UnaryOp) and isinstance(fd.op, ast.USub)
+            and isinstance(fd.operand, ast.Constant) and fd.operand.value == 1)
 
 
 def _offending_value(value: ast.AST) -> Optional[str]:
@@ -111,6 +131,8 @@ class SnapshotableStateRule(Rule):
                         and isinstance(value.func, ast.Name)
                         and value.func.id in bare):
                     reason = f"a host resource from {value.func.id}()"
+                if reason is not None and _anonymous_mmap(value, bare):
+                    reason = None
                 if reason is not None:
                     yield self.finding(
                         module, node,
@@ -129,13 +151,14 @@ class SnapshotableStateRule(Rule):
         return None
 
     @staticmethod
-    def _bare_imports(module: SourceModule) -> Set[str]:
-        """Constructors imported directly (``from threading import Thread``)."""
-        names: Set[str] = set()
+    def _bare_imports(module: SourceModule) -> Dict[str, str]:
+        """Constructors imported directly (``from threading import Thread``),
+        mapped to the module they come from."""
+        names: Dict[str, str] = {}
         for node in ast.walk(module.tree):
             if (isinstance(node, ast.ImportFrom)
                     and node.module in _HANDLE_MODULE_CALLS):
                 for alias in node.names:
                     if alias.name in _HANDLE_MODULE_CALLS[node.module]:
-                        names.add(alias.asname or alias.name)
+                        names[alias.asname or alias.name] = node.module
         return names

@@ -31,6 +31,7 @@ they do not raise, so one run surfaces every violation.
 from __future__ import annotations
 
 import contextlib
+import mmap
 from typing import Iterator, List, Optional, Tuple
 
 from ..tlm.dmi import DmiManager, DmiRegion
@@ -115,10 +116,10 @@ class SanitizerScope:
 
     # -- SAN002: uninitialized memory reads --------------------------------------------
     @staticmethod
-    def _shadow(memory: Memory) -> bytearray:
+    def _shadow(memory: Memory) -> mmap.mmap:
         shadow = memory.__dict__.get("_san_shadow")
         if shadow is None:
-            shadow = bytearray(memory.size)
+            shadow = mmap.mmap(-1, memory.size)
             memory._san_shadow = shadow
         return shadow
 

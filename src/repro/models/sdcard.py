@@ -7,6 +7,8 @@ mmc stack and our synthetic rootfs mount use).
 
 from __future__ import annotations
 
+import mmap
+
 BLOCK_SIZE = 512
 
 # SD commands the card understands.
@@ -30,13 +32,13 @@ class SdCardError(Exception):
 
 
 class SdCard:
-    """An SDHC card with a bytearray-backed image."""
+    """An SDHC card whose image is an anonymous, lazily zeroed mapping."""
 
     def __init__(self, capacity_blocks: int = 4096, rca: int = 0x1234):
         if capacity_blocks <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_blocks = capacity_blocks
-        self.image = bytearray(capacity_blocks * BLOCK_SIZE)
+        self.image = mmap.mmap(-1, capacity_blocks * BLOCK_SIZE)
         self.rca = rca
         self.state = "idle"          # idle -> ready -> ident -> standby -> transfer
         self.app_cmd = False
@@ -92,7 +94,7 @@ class SdCard:
         self.app_cmd = bool(state["app_cmd"])
         self.num_reads = state["num_reads"]
         self.num_writes = state["num_writes"]
-        self.image = bytearray(self.capacity_blocks * BLOCK_SIZE)
+        self.image = mmap.mmap(-1, self.capacity_blocks * BLOCK_SIZE)
         for lba_str, raw in state["blocks"].items():
             lba = int(lba_str)
             self.image[lba * BLOCK_SIZE:(lba + 1) * BLOCK_SIZE] = bytes.fromhex(raw)

@@ -13,8 +13,9 @@ dynamic state from the manifest:
    order — relative firing order is preserved exactly, and entries created
    after restore correctly sort behind restored ones.
 3. Guest RAM is written *in place* (slice assignment into the existing
-   bytearray) so DMI memoryviews and KVM memory slots resolved during
-   construction stay valid.
+   mapping) so DMI memoryviews and KVM memory slots resolved during
+   construction stay valid.  Only the pages the fresh platform dirtied are
+   zeroed, so pages neither side wrote stay untouched.
 4. Devices, registers, CPUs, fabric ports, watchdog, monitor and ledger
    restore through their ``snapshot_state``/``restore_state`` hooks.
 5. The recorded dispatch-trace prefix is replayed through the kernel's
@@ -33,7 +34,7 @@ from ..systemc.process import Process, ProcessState
 from ..systemc.time import SimTime
 from ..vp.config import VpConfig
 from ..vp.platform import build_platform
-from .format import SnapshotError, decode_trace
+from .format import SnapshotError, decode_trace, split_pages
 from .image import Snapshot, _telemetry_registry
 from .registry import build_registries
 
@@ -203,8 +204,11 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     if ram["size"] != vp.ram.size:
         raise SnapshotError(
             f"RAM size mismatch: snapshot {ram['size']}, platform {vp.ram.size}")
-    vp.ram.data[:] = bytes(vp.ram.size)
     page_size = ram["page_size"]
+    zero = bytes(page_size)
+    for index, page in split_pages(vp.ram.data, page_size):
+        offset = index * page_size
+        vp.ram.data[offset:offset + len(page)] = zero[:len(page)]
     for index_str, sha in ram["pages"].items():
         offset = int(index_str) * page_size
         page = snapshot.blob(sha)

@@ -1,13 +1,20 @@
 """RAM / ROM model with DMI support (``vcml::generic::memory``).
 
-The memory is backed by a single ``bytearray``; DMI requests hand out a
-``memoryview`` window over it.  This is the region the KVM CPU model maps
-into the guest as a KVM user memory slot, so native guest loads/stores hit
-exactly the same bytes TLM transactions do.
+The memory is backed by one anonymous ``mmap`` whose pages stay the
+kernel's shared zero page until first written, so a platform's 16 MiB of
+RAM costs nothing until the loader or guest touches it.  DMI requests hand
+out a ``memoryview`` window over it.  This is the region the KVM CPU model
+maps into the guest as a KVM user memory slot, so native guest loads/stores
+hit exactly the same bytes TLM transactions do.
+
+The mapping is never closed explicitly: ``mmap.close()`` raises while DMI
+views are exported, and the mapping is unmapped when the last view and the
+memory itself are collected.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Optional
 
 from ..systemc.module import Module
@@ -35,7 +42,7 @@ class Memory(Component):
             raise ValueError(f"memory {name!r}: size must be positive, got {size}")
         self.size = size
         self.read_only = read_only
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size)
         self.read_latency = read_latency if read_latency is not None else SimTime.ns(5)
         self.write_latency = write_latency if write_latency is not None else SimTime.ns(5)
         self._dmi_invalidation_callbacks: List = []

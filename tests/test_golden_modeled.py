@@ -28,6 +28,11 @@ see moves.
   instructions, modeled wall time, attribution windows, MIPS and the six
   phase totals.
 
+``SNAPSHOT_IDS`` pins the ``.rsnap`` the CI snapshot legs write
+(``repro.bench --snapshot-at 10 --scale 0.01``) at two and eight cores.
+The id is the sha256 of the canonical manifest, which covers guest RAM
+through its page hashes, so it moves if any captured byte does.
+
 Every row was captured with the memory fabric's decode cache, payload pool
 and DMI promotion on *and* off, and both legs agreed, so the fabric is
 pinned to the behaviour of the plain transport path it replaced.
@@ -36,6 +41,7 @@ A deliberate model change updates this table in the same change: the
 failing assertion prints the observed row in the table's literal form.
 """
 
+import json
 from pprint import pformat
 
 import pytest
@@ -43,6 +49,7 @@ import pytest
 from repro.analysis.determinism import trace_run
 from repro.bench.experiment import get_experiment
 from repro.bench.measure import make_config, run_workload
+from repro.bench.snapshot_cli import snapshot_boot
 from repro.obs import PHASES, observing
 from repro.systemc.time import SimTime
 from repro.vp import VpConfig, build_platform
@@ -121,6 +128,12 @@ GOLDEN = {
         "wall_ns": 390275448.99,
         "windows": 371,
     },
+}
+
+#: ``snapshot_id`` of the CI snapshot scenario, keyed by core count.
+SNAPSHOT_IDS = {
+    2: "e73df0d4dcc3db67bdd2698abed9a92a6ffdb1ddd74edc9de6c236802a357735",
+    8: "f2fe6c1e438aab676cc413b77bfcefc6cb6ab5e7f30b78c612c6cfa849e75ab9",
 }
 
 
@@ -235,3 +248,13 @@ def test_modeled_results_match_golden(row):
     assert observed == GOLDEN[row], (
         f"modeled results moved; if deliberate, set GOLDEN[{row!r}] to:\n"
         f"{pformat(observed)}")
+
+
+@pytest.mark.parametrize("cores", list(SNAPSHOT_IDS))
+def test_ci_snapshot_id_matches_golden(cores, tmp_path, capsys):
+    assert snapshot_boot(str(tmp_path / "boot.rsnap"), 10, "aoa", cores,
+                         0.01, 100.0, False, True) == 0
+    snapshot_id = json.loads(capsys.readouterr().out)["snapshot_id"]
+    assert snapshot_id == SNAPSHOT_IDS[cores], (
+        f"snapshot bytes moved; if deliberate, set SNAPSHOT_IDS[{cores}] to "
+        f"{snapshot_id!r}")

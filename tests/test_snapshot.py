@@ -5,7 +5,9 @@ lint rule."""
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,8 @@ from repro.snapshot.format import (
     split_pages,
     write_container,
 )
-from repro.systemc.kernel import Kernel
+from repro.models.sdcard import BLOCK_SIZE, SdCard
+from repro.systemc.kernel import Kernel, set_ambient_kernel
 from repro.systemc.time import SimTime
 from repro.vp.config import VpConfig
 from repro.vp.linux import LinuxBootParams, linux_boot_software
@@ -198,6 +201,46 @@ class TestRoundTrip:
         left = dict(original.manifest, trace=None)
         assert canonical_manifest_bytes(left) == canonical_manifest_bytes(
             recaptured.manifest)
+
+
+# -- guest RAM and the card image as anonymous mappings -------------------------------
+
+class TestLazyBacking:
+    def test_restore_zeroes_pages_the_snapshot_lacks(self):
+        vp, _ = boot_capture(until=SimTime.ms(1))
+        entry = software().image.entry & ~(PAGE_SIZE - 1)
+        # The guest wipes a page the loader wrote, so the snapshot lacks it
+        # while every freshly built platform has it.
+        vp.ram.data[entry:entry + PAGE_SIZE] = bytes(PAGE_SIZE)
+        snapshot = capture_platform(vp)
+        assert str(entry // PAGE_SIZE) not in snapshot.manifest["ram"]["pages"]
+        fresh = build_platform("aoa", make_config(), software())
+        assert any(fresh.ram.peek(entry, PAGE_SIZE))
+        restored = restore_platform(snapshot, software())
+        assert restored.ram.peek(entry, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert capture_platform(restored).snapshot_id == snapshot.snapshot_id
+
+    def test_sd_card_state_round_trips(self):
+        card = SdCard(capacity_blocks=16)
+        card.load_image(b"rootfs", offset=3 * BLOCK_SIZE + 7)
+        card.write_block(9, bytes([5] * BLOCK_SIZE))
+        state = card.snapshot_state()
+        assert sorted(state["blocks"]) == ["3", "9"]
+        other = SdCard(capacity_blocks=4)
+        other.write_block(1, bytes([1] * BLOCK_SIZE))
+        other.restore_state(state)
+        assert other.capacity_blocks == 16
+        assert other.read_block(1) == bytes(BLOCK_SIZE)
+        assert other.read_block(3)[7:13] == b"rootfs"
+        assert other.snapshot_state() == dict(state, num_reads=2)
+
+    def test_dropped_platform_frees_its_ram_mapping(self):
+        vp, _ = boot_capture(until=SimTime.ms(1))
+        ram = weakref.ref(vp.ram.data)
+        del vp
+        set_ambient_kernel(None)
+        gc.collect()
+        assert ram() is None
 
 
 # -- the correctness gate: cold digest == snapshot-resumed digest ---------------------
@@ -485,6 +528,23 @@ class TestTelemetry:
 # -- RPR012 ---------------------------------------------------------------------------
 
 class TestRpr012:
+    def test_fires_on_file_backed_mmap(self):
+        findings = lint_paths([str(FIXTURES / "rpr012_mmap_bad.py")],
+                              select=["RPR012"])
+        messages = sorted(finding.message.split(" holds")[0]
+                          for finding in findings)
+        assert messages == ["FlashImage.flash", "FlashImage.mirror",
+                            "FlashImage.shadow"]
+
+    def test_silent_on_anonymous_mmap(self):
+        findings = lint_paths([str(FIXTURES / "rpr012_mmap_good.py")],
+                              select=["RPR012"])
+        assert findings == []
+
+    def test_source_tree_is_clean(self):
+        src = Path(__file__).parent.parent / "src" / "repro"
+        assert lint_paths([str(src)], select=["RPR012"]) == []
+
     def test_fires_on_non_serializable_module_state(self):
         findings = lint_paths([str(FIXTURES / "rpr012_bad.py")],
                               select=["RPR012"])

@@ -213,6 +213,41 @@ class TestMemory:
         assert memory.peek(0x40, 1) == b"\x99"
         assert memory.num_writes == 0
 
+    def test_untouched_memory_reads_zero(self):
+        memory, initiator = self.make(size=0x10000)
+        assert memory.peek(0x8000, 16) == bytes(16)
+        payload = GenericPayload.read(0xFFF0, 16)
+        initiator.b_transport(payload, SimTime.zero())
+        assert payload.response_status is ResponseStatus.OK
+        assert bytes(payload.data) == bytes(16)
+        region = initiator.get_direct_mem_ptr(GenericPayload.read(0, 4))
+        assert bytes(region.view(0x4000, 32)) == bytes(32)
+
+    def test_writes_give_the_bytes_a_plain_buffer_gives(self):
+        memory, initiator = self.make()
+        expected = bytearray(b"\xAA" * memory.size)
+        memory.fill(0xAA)
+        assert memory.peek(0, memory.size) == bytes(expected)
+        payload = GenericPayload.write(0x100, b"\x11\x22\x33\x44")
+        payload.byte_enable = b"\xff\x00"
+        initiator.b_transport(payload, SimTime.zero())
+        expected[0x100] = 0x11
+        expected[0x102] = 0x33
+        assert initiator.transport_dbg(GenericPayload.write(0xFFC, b"tail")) == 4
+        expected[0xFFC:0x1000] = b"tail"
+        assert memory.peek(0, memory.size) == bytes(expected)
+        memory.fill()
+        assert memory.peek(0, memory.size) == bytes(memory.size)
+
+    def test_dmi_view_aliases_data(self):
+        memory, initiator = self.make()
+        region = initiator.get_direct_mem_ptr(GenericPayload.read(0, 4))
+        assert region.memory.obj is memory.data
+        memory.data[0x50:0x52] = b"\x12\x34"
+        assert bytes(region.view(0x50, 2)) == b"\x12\x34"
+        region.view(0x60, 1)[:] = b"\x56"
+        assert memory.data[0x60] == 0x56
+
 
 class TestRouter:
     def build(self):
