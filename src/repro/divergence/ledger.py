@@ -197,40 +197,30 @@ class RunLedger:
 class _WindowFold:
     """The open (not yet sealed) window the hook is currently folding."""
 
-    __slots__ = ("window", "stream", "entries",
-                 "lane_hashers", "lane_entries", "lane_first", "lane_last")
+    __slots__ = ("window", "stream", "entries", "lanes")
 
     def __init__(self, window: int):
         self.window = window
         self.stream = hashlib.sha256()
         self.entries = 0
-        self.lane_hashers: Dict[int, "hashlib._Hash"] = {}
-        self.lane_entries: Dict[int, int] = {}
-        self.lane_first: Dict[int, int] = {}
-        self.lane_last: Dict[int, int] = {}
+        #: lane -> [hasher, entries, first seq, last seq], first-seen order
+        self.lanes: Dict[int, list] = {}
 
     def fold(self, line: bytes, lane: int, seq: int) -> None:
         self.stream.update(line)
         self.entries += 1
-        hasher = self.lane_hashers.get(lane)
-        if hasher is None:
-            hasher = hashlib.sha256()
-            self.lane_hashers[lane] = hasher
-            self.lane_entries[lane] = 0
-            self.lane_first[lane] = seq
-        hasher.update(line)
-        self.lane_entries[lane] += 1
-        self.lane_last[lane] = seq
+        state = self.lanes.get(lane)
+        if state is None:
+            state = self.lanes[lane] = [hashlib.sha256(), 0, seq, seq]
+        state[0].update(line)
+        state[1] += 1
+        state[3] = seq
 
     def seal(self) -> WindowRecord:
         lanes = {
-            lane: LaneDigest(
-                digest=hasher.hexdigest(),
-                entries=self.lane_entries[lane],
-                first_seq=self.lane_first[lane],
-                last_seq=self.lane_last[lane],
-            )
-            for lane, hasher in self.lane_hashers.items()
+            lane: LaneDigest(digest=hasher.hexdigest(), entries=entries,
+                             first_seq=first, last_seq=last)
+            for lane, (hasher, entries, first, last) in self.lanes.items()
         }
         return WindowRecord(self.window, self.stream.hexdigest(),
                             self.entries, lanes)

@@ -22,8 +22,9 @@ Crash-bundle triggers (see ``repro.flight.bundle``):
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..iss.executor import ExitReason
 from ..systemc.kernel import Kernel
 from ..telemetry.wrapping import WrapSet
 from ..vcml.processor import SimulateAction
@@ -33,6 +34,9 @@ from .recorder import FlightRecorder
 
 #: a console line longer than this is journalled in chunks
 CONSOLE_LINE_LIMIT = 256
+
+#: the journal's name for each ISS exit reason
+ISS_EXIT_NAMES = {reason: reason.name.lower() for reason in ExitReason}
 
 
 class Flight:
@@ -161,7 +165,7 @@ class Flight:
             class_hook = Kernel.error_hook
             if class_hook is not None:
                 class_hook(exc)
-            self.recorder.record("kernel_error", kernel.now.picoseconds,
+            self.recorder.record("kernel_error", kernel._now_ps,
                                  error=f"{type(exc).__name__}: {exc}")
             if self.bundler is not None:
                 self.bundler.trigger(vp, "kernel-error",
@@ -175,7 +179,7 @@ class Flight:
 
         def make_schedule(original):
             def schedule(core_id, now_ns, timeout_ns, callback, **meta):
-                self.recorder.record("watchdog_arm", kernel.now.picoseconds,
+                self.recorder.record("watchdog_arm", kernel._now_ps,
                                      host_ns=now_ns, core=core_id,
                                      budget_ns=round(timeout_ns, 3),
                                      kick_id=meta.get("kick_id"))
@@ -186,7 +190,7 @@ class Flight:
 
         def on_fire(payload) -> None:
             self.recorder.record(
-                "watchdog_fire", kernel.now.picoseconds,
+                "watchdog_fire", kernel._now_ps,
                 host_ns=payload.fired_at_ns, core=payload.core_id,
                 kick_id=payload.kick_id,
                 budget_ns=(None if payload.budget_ns is None
@@ -214,14 +218,14 @@ class Flight:
             self._wraps.set(simctl, slot, callback)
 
         chained("on_boot_done", lambda when: self.recorder.record(
-            "simctl", kernel.now.picoseconds, what="boot_done"))
+            "simctl", kernel._now_ps, what="boot_done"))
         chained("on_checkpoint", lambda value, when: self.recorder.record(
-            "simctl", kernel.now.picoseconds, what="checkpoint", value=value))
+            "simctl", kernel._now_ps, what="checkpoint", value=value))
         chained("on_shutdown", lambda code: self.recorder.record(
-            "simctl", kernel.now.picoseconds, what="shutdown", code=code))
+            "simctl", kernel._now_ps, what="shutdown", code=code))
 
         def on_panic(code: int) -> None:
-            self.recorder.record("simctl", kernel.now.picoseconds,
+            self.recorder.record("simctl", kernel._now_ps,
                                  what="panic", code=code)
             if self.bundler is not None:
                 self.bundler.trigger(vp, "guest-panic",
@@ -253,7 +257,7 @@ class Flight:
     def _record_console(self, key: str, vp, buffer: bytearray) -> None:
         text = bytes(buffer).decode("utf-8", errors="replace")
         del buffer[:]
-        self.recorder.record("console", vp.kernel.now.picoseconds, text=text)
+        self.recorder.record("console", vp.kernel._now_ps, text=text)
 
     # -- runtime sanitizers ------------------------------------------------------
     def _attach_sanitizers(self) -> None:
@@ -270,7 +274,7 @@ class Flight:
                 vp = self.platforms[-1][1] if self.platforms else None
                 if vp is None:
                     return
-                self.recorder.record("sanitizer", vp.kernel.now.picoseconds,
+                self.recorder.record("sanitizer", vp.kernel._now_ps,
                                      rule=finding.rule, path=finding.path,
                                      message=finding.message)
                 if self.bundler is not None:
@@ -285,26 +289,39 @@ class Flight:
     # -- CPU cores ---------------------------------------------------------------
     def _attach_cpu(self, key: str, vp, cpu) -> None:
         kernel = vp.kernel
+        keeper = cpu.keeper
         core = cpu.core_id
+        record = self.recorder.record
         symbolize = self._symbolizer(vp)
         track = f"{key}.core{core}"
         base = (key, f"core{core}")
         vcpu = getattr(cpu, "vcpu", None)
         executor = vcpu.executor if vcpu is not None else cpu.executor
 
-        def stack_at(pc: int):
+        state = getattr(executor, "state", None)
+        #: pc -> lr -> symbolized stack; the image's symbols never change
+        stacks: Dict[int, Dict[Optional[int], Tuple[str, ...]]] = {}
+
+        def stack_at(pc: int, lr: Optional[int]) -> Tuple[str, ...]:
             frames = list(base)
-            state = getattr(executor, "state", None)
-            if state is not None:
-                caller = symbolize(state.lr, fallback=False)
+            if lr is not None:
+                caller = symbolize(lr, fallback=False)
                 if caller is not None:
                     frames.append(caller)
             frames.append(symbolize(pc))
-            return tuple(frames)
+            stack = stacks.setdefault(pc, {})[lr] = tuple(frames)
+            return stack
+
+        profiler = self.profiler
 
         def account(cycles: int, pc: int) -> None:
-            if self.profiler is not None and cycles > 0:
-                self.profiler.account(track, cycles, stack_at(pc))
+            if profiler is not None and cycles > 0:
+                lr = state.lr if state is not None else None
+                by_lr = stacks.get(pc)
+                stack = by_lr.get(lr) if by_lr is not None else None
+                if stack is None:
+                    stack = stack_at(pc, lr)
+                profiler.account(track, cycles, stack)
 
         # MMIO: request/response events around the TLM round trip; both CPU
         # models funnel through _handle_mmio.
@@ -312,16 +329,14 @@ class Flight:
             def handle_mmio(request):
                 is_write = bool(request.is_write)
                 size = len(request.data) if is_write else request.size
-                self.recorder.record("mmio_req", kernel.now.picoseconds,
-                                     host_ns=cpu.host_now_ns, core=core,
-                                     address=request.address, write=is_write,
-                                     size=size)
+                record("mmio_req", kernel._now_ps, host_ns=cpu.host_now_ns,
+                       core=core, address=request.address, write=is_write,
+                       size=size)
                 errors_before = cpu.num_bus_errors
                 consumed = original(request)
-                self.recorder.record("mmio_resp", kernel.now.picoseconds,
-                                     host_ns=cpu.host_now_ns, core=core,
-                                     address=request.address, cycles=consumed,
-                                     error=cpu.num_bus_errors > errors_before)
+                record("mmio_resp", kernel._now_ps, host_ns=cpu.host_now_ns,
+                       core=core, address=request.address, cycles=consumed,
+                       error=cpu.num_bus_errors > errors_before)
                 if vcpu is None:
                     # IssCpu retires the trapped instruction itself
                     # (instructions_retired += 1); mirror it here.  The KVM
@@ -335,8 +350,8 @@ class Flight:
         # IRQ edges into the core.
         def make_on_interrupt(original):
             def on_interrupt(number, level):
-                self.recorder.record("irq", kernel.now.picoseconds, core=core,
-                                     line=number, level=bool(level))
+                record("irq", kernel._now_ps, core=core, line=number,
+                       level=bool(level))
                 return original(number, level)
             return on_interrupt
 
@@ -349,17 +364,16 @@ class Flight:
             def simulate(cycles):
                 if pending_suspend:
                     begin_ps = pending_suspend.pop()
-                    now_ps = cpu.keeper.current_time().picoseconds
-                    self.recorder.record("wfi_resume", now_ps, core=core,
-                                         skipped_ps=max(0, now_ps - begin_ps))
+                    now_ps = keeper.current_time_ps()
+                    record("wfi_resume", now_ps, core=core,
+                           skipped_ps=max(0, now_ps - begin_ps))
                 result = original(cycles)
                 # Pure observer: only WAIT_IRQ leaves a journal entry.
                 if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                    resume_base = (cpu.keeper.current_time()
-                                   + cpu.cycles_to_time(result.cycles))
-                    self.recorder.record("wfi_suspend",
-                                         resume_base.picoseconds, core=core)
-                    pending_suspend.append(resume_base.picoseconds)
+                    resume_ps = (keeper.current_time_ps()
+                                 + cpu.clk.cycles_to_ps(result.cycles))
+                    record("wfi_suspend", resume_ps, core=core)
+                    pending_suspend.append(resume_ps)
                 return result
             return simulate
 
@@ -368,26 +382,24 @@ class Flight:
         # Quantum syncs.
         def make_sync_wait(original):
             def sync_wait():
-                self.recorder.record(
-                    "quantum_sync", kernel.now.picoseconds, core=core,
-                    offset_ps=cpu.keeper.local_time_offset.picoseconds)
+                record("quantum_sync", kernel._now_ps, core=core,
+                       offset_ps=keeper._offset_ps)
                 return original()
             return sync_wait
 
-        self._wraps.wrap(cpu.keeper, "sync_wait", make_sync_wait)
+        self._wraps.wrap(keeper, "sync_wait", make_sync_wait)
 
         if vcpu is not None:
             # KVM model: exits, kick filtering, wedge detection, profiling.
             def make_run(original):
                 def run(wall_budget_ns, speed_factor=1.0):
                     info = original(wall_budget_ns, speed_factor)
-                    self.recorder.record(
-                        "kvm_exit", kernel.now.picoseconds,
-                        host_ns=cpu.host_now_ns + info.wall_ns, core=core,
-                        reason=info.reason.value, pc=info.pc,
-                        instructions=info.instructions,
-                        wall_ns=round(info.wall_ns, 3),
-                        blocked_in_wfi=info.blocked_in_wfi)
+                    record("kvm_exit", kernel._now_ps,
+                           host_ns=cpu.host_now_ns + info.wall_ns, core=core,
+                           reason=info.reason.value, pc=info.pc,
+                           instructions=info.instructions,
+                           wall_ns=round(info.wall_ns, 3),
+                           blocked_in_wfi=info.blocked_in_wfi)
                     account(info.instructions, info.pc)
                     return info
                 return run
@@ -415,10 +427,9 @@ class Flight:
             def make_exec_run(original):
                 def run(max_instructions):
                     info = original(max_instructions)
-                    self.recorder.record(
-                        "cpu_exit", kernel.now.picoseconds, core=core,
-                        reason=info.reason.name.lower(), pc=info.pc,
-                        instructions=info.instructions)
+                    record("cpu_exit", kernel._now_ps, core=core,
+                           reason=ISS_EXIT_NAMES[info.reason], pc=info.pc,
+                           instructions=info.instructions)
                     account(info.instructions, info.pc)
                     return info
                 return run
@@ -431,10 +442,9 @@ class Flight:
                 def kick(kick_id):
                     delivered_before = guard.num_kicks_delivered
                     original(kick_id)
-                    self.recorder.record(
-                        "watchdog_kick", kernel.now.picoseconds,
-                        host_ns=cpu.host_now_ns, core=core, kick_id=kick_id,
-                        delivered=guard.num_kicks_delivered > delivered_before)
+                    record("watchdog_kick", kernel._now_ps,
+                           host_ns=cpu.host_now_ns, core=core, kick_id=kick_id,
+                           delivered=guard.num_kicks_delivered > delivered_before)
                 return kick
 
             self._wraps.wrap(guard, "kick", make_kick)
@@ -445,10 +455,8 @@ class Flight:
                 def on_repeat_kick(kick_id: int) -> None:
                     if previous is not None:
                         previous(kick_id)
-                    self.recorder.record("watchdog_wedge",
-                                         kernel.now.picoseconds,
-                                         host_ns=cpu.host_now_ns, core=core,
-                                         kick_id=kick_id)
+                    record("watchdog_wedge", kernel._now_ps,
+                           host_ns=cpu.host_now_ns, core=core, kick_id=kick_id)
                     if self.bundler is not None:
                         self.bundler.trigger(
                             vp, "watchdog",

@@ -1,7 +1,7 @@
 """The flight recorder: a bounded ring journal of typed platform events.
 
 A virtual platform's black box.  Every probe installed by
-:class:`repro.flight.Flight` appends one :class:`FlightEvent` here; the
+:class:`repro.flight.Flight` appends one event here; the
 ring keeps the most recent ``capacity`` events so a run that wedges after
 hours still has the history *leading up to* the failure, at O(1) memory.
 
@@ -33,7 +33,6 @@ clocks, so recording is deterministic and replay-stable.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -63,50 +62,61 @@ class FlightEvent(NamedTuple):
 
 
 class FlightRecorder:
-    """Bounded ring of :class:`FlightEvent`; oldest events fall off."""
+    """Bounded ring of journal events; oldest events fall off.
+
+    The ring holds raw ``(seq, kind, t_ps, host_ns, core, data)`` tuples,
+    ``data`` being the recording call's keyword dict as passed: most events
+    fall off the ring unread, so the sorted :class:`FlightEvent` form is
+    built only when something reads the ring (iteration, :meth:`tail`,
+    :meth:`of_kind`, :meth:`counts`, :meth:`write_jsonl`).
+    """
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError(f"flight recorder capacity must be positive: {capacity}")
         self.capacity = capacity
         self._events: deque = deque(maxlen=capacity)
-        self._seq = itertools.count()
         self.num_recorded = 0
-        self.num_dropped = 0
+
+    @property
+    def num_dropped(self) -> int:
+        """Events that fell off the ring (only a full ring drops)."""
+        return self.num_recorded - len(self._events)
 
     def record(self, kind: str, t_ps: int, host_ns: Optional[float] = None,
-               core: Optional[int] = None, **data) -> FlightEvent:
-        event = FlightEvent(next(self._seq), kind, t_ps, host_ns, core,
-                            tuple(sorted(data.items())))
-        if len(self._events) == self.capacity:
-            self.num_dropped += 1
-        self._events.append(event)
+               core: Optional[int] = None, **data) -> None:
+        self._events.append((self.num_recorded, kind, t_ps, host_ns, core, data))
         self.num_recorded += 1
-        return event
 
     # -- reading the ring ---------------------------------------------------
+    @staticmethod
+    def _event(raw: tuple) -> FlightEvent:
+        seq, kind, t_ps, host_ns, core, data = raw
+        return FlightEvent(seq, kind, t_ps, host_ns, core,
+                           tuple(sorted(data.items())))
+
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[FlightEvent]:
-        return iter(self._events)
+        return map(self._event, list(self._events))
 
     def tail(self, count: Optional[int] = None) -> List[FlightEvent]:
         """The most recent ``count`` events, oldest first (all if None)."""
-        events = list(self._events)
-        if count is None or count >= len(events):
-            return events
-        return events[len(events) - count:]
+        raws = list(self._events)
+        if count is not None and count < len(raws):
+            raws = raws[len(raws) - count:]
+        return [self._event(raw) for raw in raws]
 
     def of_kind(self, *kinds: str) -> List[FlightEvent]:
         wanted = set(kinds)
-        return [event for event in self._events if event.kind in wanted]
+        return [self._event(raw) for raw in self._events if raw[1] in wanted]
 
     def counts(self) -> Dict[str, int]:
         """Retained events per kind (what a bundle's metrics block shows)."""
         tally: Dict[str, int] = {}
-        for event in self._events:
-            tally[event.kind] = tally.get(event.kind, 0) + 1
+        for raw in self._events:
+            tally[raw[1]] = tally.get(raw[1], 0) + 1
         return tally
 
     def write_jsonl(self, path: str, last: Optional[int] = None) -> int:

@@ -87,13 +87,13 @@ class HostLedger:
         HostTimeline`) use it, so exported spans tile to the same total.
         """
         costs = self.sim_costs
-        worker_lanes = [lane for lane in lanes if lane != MAIN_LANE]
+        workers = len(lanes) - (MAIN_LANE in lanes)
         if self.parallel:
             span = max(lanes.values()) if lanes else 0.0
-            span += costs.parallel_dispatch_ns * len(worker_lanes)
+            span += costs.parallel_dispatch_ns * workers
         else:
             span = sum(lanes.values())
-            span += costs.sequential_loop_ns * max(1, len(worker_lanes))
+            span += costs.sequential_loop_ns * max(1, workers)
         return span + costs.kernel_overhead_ns_per_window
 
     def wall_time_ns(self) -> float:

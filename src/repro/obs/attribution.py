@@ -213,42 +213,127 @@ class AttributionSummary:
         }
 
 
+class _OpenWindow:
+    """One open window's running sums, added to as billing arrives."""
+
+    __slots__ = ("actual", "busy", "phases")
+
+    def __init__(self):
+        self.actual: Dict[int, float] = {}              # ledger lane -> ns
+        self.busy: Dict[int, float] = {}                # attribution lane -> ns
+        self.phases: Dict[int, Dict[str, float]] = {}   # lane -> phase -> ns
+
+
+class _RunTotals:
+    """Whole-run sums over finalized windows, added in finalize order.
+
+    The same floats the summary would get by refolding every window in
+    order: a lane's wall time and overhead are the same running sums for
+    every lane, and a lane that has not billed yet idles for the whole fold
+    busy of each window, so its idle is :attr:`fold_busy` until it first
+    bills.
+    """
+
+    __slots__ = ("windows", "wall", "fold_busy", "overhead", "busy_sum",
+                 "busy_max", "dispatches", "phases", "idle")
+
+    def __init__(self):
+        self.windows = 0
+        self.wall = 0.0
+        self.fold_busy = 0.0
+        self.overhead = 0.0
+        self.busy_sum = 0.0
+        self.busy_max = 0.0
+        self.dispatches = 0
+        self.phases: Dict[int, Dict[str, float]] = {}  # lane -> billed phases
+        self.idle: Dict[int, float] = {}               # lane -> barrier idle
+
+    def copy(self) -> "_RunTotals":
+        other = _RunTotals()
+        for name in self.__slots__:
+            setattr(other, name, getattr(self, name))
+        other.phases = {lane: dict(p) for lane, p in self.phases.items()}
+        other.idle = dict(self.idle)
+        return other
+
+    def add(self, record: WindowRecord) -> None:
+        busy, fold_busy = record.busy_ns, record.fold_busy_ns
+        idle = self.idle
+        for lane, total in idle.items():
+            idle[lane] = total + (fold_busy - busy.get(lane, 0.0))
+        if not busy.keys() <= idle.keys():
+            for lane, nanoseconds in busy.items():
+                if lane not in idle:
+                    idle[lane] = self.fold_busy + (fold_busy - nanoseconds)
+        phases = self.phases
+        for lane, lane_phases in record.phases.items():
+            target = phases.get(lane)
+            if target is None:
+                # 0.0 + x is x: a lane's first window starts its sums.
+                phases[lane] = dict(lane_phases)
+                continue
+            for phase, nanoseconds in lane_phases.items():
+                target[phase] = target.get(phase, 0.0) + nanoseconds
+        self.windows += 1
+        self.wall += record.wall_ns
+        self.fold_busy += fold_busy
+        self.overhead += record.wall_ns - fold_busy
+        self.busy_sum += sum(busy.values())
+        self.busy_max += max(busy.values()) if busy else 0.0
+        self.dispatches += record.dispatches
+
+
 class AttributionFold:
     """Incremental window folder.
 
-    Billing events are recorded per window as ``(attribution lane, actual
-    ledger lane, nanoseconds, category)``; windows are finalized in
-    first-seen order — eagerly, when the recorder learns simulated time has
-    passed a window's end, or all at once by :meth:`finalize`.  Finalized
-    windows are handed to ``on_window`` (the streaming exporter) and
-    accumulated into the whole-run summary.
+    Each billing event ``(attribution lane, actual ledger lane,
+    nanoseconds, category)`` is added to its window's running sums as it
+    arrives, in billing order, so the per-lane totals are the same floats
+    the ledger accumulates.  Windows are finalized in first-seen order —
+    eagerly, when the recorder learns simulated time has passed a window's
+    end, or all at once by :meth:`finalize`.  Finalized windows are handed
+    to ``on_window`` (the streaming exporter) and added to the whole-run
+    totals; no window is kept once it is folded.
     """
 
     def __init__(self, ledger,
                  on_window: Optional[Callable[[WindowRecord], None]] = None):
         self.ledger = ledger
         self.on_window = on_window
-        #: open windows, insertion-ordered: window -> event list
-        self._events: Dict[int, List[Tuple[int, int, float, str]]] = {}
+        self._window_ps = ledger.window_size.picoseconds
+        #: open windows, insertion-ordered
+        self._open: Dict[int, _OpenWindow] = {}
         self._dispatches: Dict[int, int] = {}
-        self._finalized: List[WindowRecord] = []
+        self._totals = _RunTotals()
+        #: the window finalized last; events for it or earlier are late
+        self._last_closed = -1
         self._lanes_seen: Dict[int, None] = {MAIN_LANE: None}
         self.late_events = 0
 
     # -- recording ----------------------------------------------------------
     def record(self, window: int, attr_lane: int, actual_lane: int,
                nanoseconds: float, category: str) -> None:
-        if self._finalized and window <= self._finalized[-1].window:
+        if window <= self._last_closed:
             self.late_events += 1
             return
-        self._events.setdefault(window, []).append(
-            (attr_lane, actual_lane, nanoseconds, category))
-        self._lanes_seen.setdefault(attr_lane)
+        sums = self._open.get(window)
+        if sums is None:
+            sums = self._open[window] = _OpenWindow()
+        actual = sums.actual
+        actual[actual_lane] = actual.get(actual_lane, 0.0) + nanoseconds
+        busy = sums.busy
+        busy[attr_lane] = busy.get(attr_lane, 0.0) + nanoseconds
+        lane_phases = sums.phases.get(attr_lane)
+        if lane_phases is None:
+            lane_phases = sums.phases[attr_lane] = {}
+            self._lanes_seen.setdefault(attr_lane)
+        phase = CATEGORY_PHASES.get(category, PHASE_KERNEL)
+        lane_phases[phase] = lane_phases.get(phase, 0.0) + nanoseconds
 
     def record_dispatch(self, window: int) -> None:
-        if self._finalized and window <= self._finalized[-1].window:
-            return
-        self._dispatches[window] = self._dispatches.get(window, 0) + 1
+        if window > self._last_closed:
+            dispatches = self._dispatches
+            dispatches[window] = dispatches.get(window, 0) + 1
 
     def advance_to(self, sim_time_ps: int) -> List[WindowRecord]:
         """Finalize every open window that ended before ``sim_time_ps``.
@@ -257,44 +342,44 @@ class AttributionFold:
         ``t // quantum`` and the one after, so a window is only complete
         once simulated time has moved past its end.
         """
-        boundary = sim_time_ps // self.ledger.window_size.picoseconds
-        done = [w for w in self._events if w < boundary]
+        boundary = sim_time_ps // self._window_ps
+        done = [w for w in self._open if w < boundary]
         return [self._finalize_window(w) for w in done]
 
     def finalize(self) -> List[WindowRecord]:
         """Finalize every remaining open window (end of run / detach)."""
-        return [self._finalize_window(w) for w in list(self._events)]
+        return [self._finalize_window(w) for w in list(self._open)]
 
     # -- folding ------------------------------------------------------------
-    def _finalize_window(self, window: int) -> WindowRecord:
-        events = self._events.pop(window)
-        # Rebuild the ledger's own per-lane totals in billing order so the
-        # span fold sees bit-identical floats.
-        actual_totals: Dict[int, float] = {}
-        busy: Dict[int, float] = {}
-        phases: Dict[int, Dict[str, float]] = {}
-        for attr_lane, actual_lane, nanoseconds, category in events:
-            actual_totals[actual_lane] = (
-                actual_totals.get(actual_lane, 0.0) + nanoseconds)
-            busy[attr_lane] = busy.get(attr_lane, 0.0) + nanoseconds
-            lane_phases = phases.setdefault(attr_lane, {})
-            phase = phase_of(category)
-            lane_phases[phase] = lane_phases.get(phase, 0.0) + nanoseconds
-        wall = self.ledger.window_span_ns(actual_totals)
+    def _window_record(self, window: int, sums: _OpenWindow,
+                       dispatches: int) -> WindowRecord:
+        busy = sums.busy
+        wall = self.ledger.window_span_ns(sums.actual)
         if self.ledger.parallel:
             fold_busy = max(busy.values()) if busy else 0.0
         else:
             fold_busy = sum(busy.values())
-        record = WindowRecord(window, wall, busy, phases, fold_busy,
-                              self._dispatches.pop(window, 0))
-        self._finalized.append(record)
+        return WindowRecord(window, wall, busy, sums.phases, fold_busy,
+                            dispatches)
+
+    def _finalize_window(self, window: int) -> WindowRecord:
+        record = self._window_record(window, self._open.pop(window),
+                                     self._dispatches.pop(window, 0))
+        self._totals.add(record)
+        self._last_closed = window
         if self.on_window is not None:
             self.on_window(record)
         return record
 
     # -- results ------------------------------------------------------------
-    def records(self) -> List[WindowRecord]:
-        return list(self._finalized)
+    @property
+    def closed_wall_ns(self) -> float:
+        """Span of the finalized windows so far (the ledger's fold)."""
+        return self._totals.wall
+
+    def closed_lanes(self):
+        """Attribution lanes that billed in some finalized window."""
+        return self._totals.idle.keys()
 
     def summary(self, platform: str = "", num_cores: int = 0,
                 sim_time_ps: int = 0, instructions: int = 0,
@@ -305,53 +390,34 @@ class AttributionFold:
         finalizing them (used for live snapshots and crash bundles taken
         mid-window).
         """
-        records = list(self._finalized)
-        if include_open:
-            probe = AttributionFold(self.ledger)
-            probe._events = {w: list(ev) for w, ev in self._events.items()}
-            probe._dispatches = dict(self._dispatches)
-            records += probe.finalize()
-        lanes: Dict[str, Dict[str, float]] = {
-            lane_name(lane): {} for lane in self._lanes_seen}
-        lane_wall: Dict[str, float] = {name: 0.0 for name in lanes}
-        wall_total = 0.0
-        busy_sum = 0.0
-        busy_max = 0.0
-        dispatches = 0
-        for record in records:
-            overhead = record.wall_ns - record.fold_busy_ns
-            wall_total += record.wall_ns
-            busy_sum += sum(record.busy_ns.values())
-            busy_max += max(record.busy_ns.values()) if record.busy_ns else 0.0
-            dispatches += record.dispatches
-            for name in lanes:
-                lane_wall[name] += record.wall_ns
-            for lane, lane_phases in record.phases.items():
-                target = lanes[lane_name(lane)]
-                for phase, nanoseconds in lane_phases.items():
-                    target[phase] = target.get(phase, 0.0) + nanoseconds
-            for name in lanes:
-                lane = (MAIN_LANE if name == "main"
-                        else int(name.replace("core", "")))
-                idle = record.fold_busy_ns - record.busy_ns.get(lane, 0.0)
-                target = lanes[name]
-                target[PHASE_IDLE] = target.get(PHASE_IDLE, 0.0) + idle
-                target[PHASE_OVERHEAD] = (
-                    target.get(PHASE_OVERHEAD, 0.0) + overhead)
+        totals = self._totals
+        if include_open and self._open:
+            # The open windows' running sums, folded into a copy.
+            totals = totals.copy()
+            for window, sums in self._open.items():
+                totals.add(self._window_record(
+                    window, sums, self._dispatches.get(window, 0)))
+        lanes: Dict[str, Dict[str, float]] = {}
+        for lane in self._lanes_seen:
+            phases = dict(totals.phases.get(lane, {}))
+            if totals.windows:
+                phases[PHASE_IDLE] = totals.idle.get(lane, totals.fold_busy)
+                phases[PHASE_OVERHEAD] = totals.overhead
+            lanes[lane_name(lane)] = phases
         return AttributionSummary(
             platform=platform,
             parallel=self.ledger.parallel,
             num_cores=num_cores or self.ledger.num_cores,
-            window_count=len(records),
-            wall_time_ns=wall_total,
+            window_count=totals.windows,
+            wall_time_ns=totals.wall,
             quantum_ps=self.ledger.window_size.picoseconds,
             sim_time_ps=sim_time_ps,
             instructions=instructions,
             lanes=lanes,
-            lane_wall_ns=lane_wall,
-            busy_sum_ns=busy_sum,
-            busy_max_ns=busy_max,
-            dispatches=dispatches,
+            lane_wall_ns={name: totals.wall for name in lanes},
+            busy_sum_ns=totals.busy_sum,
+            busy_max_ns=totals.busy_max,
+            dispatches=totals.dispatches,
             late_events=self.late_events,
         )
 

@@ -51,13 +51,10 @@ class _PlatformEntry:
     wraps: WrapSet = field(default_factory=WrapSet)
     window_ps: int = 0
     num_cores: int = 0
-    cumulative_wall_ns: float = 0.0
-    windows_closed: int = 0
     sealed: bool = False
     #: last-known run state, authoritative once the entry is sealed
     cached_instructions: int = 0
     cached_sim_ps: int = 0
-    lanes_cache: Dict[int, None] = field(default_factory=dict)
 
     def instructions(self) -> int:
         if self.vp is not None:
@@ -66,7 +63,7 @@ class _PlatformEntry:
 
     def sim_time_ps(self) -> int:
         if self.vp is not None:
-            self.cached_sim_ps = self.vp.kernel.now.picoseconds
+            self.cached_sim_ps = self.vp.kernel._now_ps
         return self.cached_sim_ps
 
 
@@ -119,24 +116,25 @@ class Obs:
     # -- taps ---------------------------------------------------------------
     def _attach_cpu(self, entry: _PlatformEntry, cpu) -> None:
         fold = entry.fold
+        keeper = cpu.keeper
+        core = cpu.core_id
 
         def make_bill(original):
             def bill_host_time(nanoseconds, category="cpu",
                                main_thread=False):
                 original(nanoseconds, category, main_thread)
-                if cpu.host_ledger is None or nanoseconds <= 0:
+                ledger = cpu.host_ledger
+                if ledger is None or nanoseconds <= 0:
                     return
                 # Attribution lane: where the event lands under the
                 # parallel fold.  Actual lane: where the ledger put it now.
-                attr_lane = MAIN_LANE if main_thread else cpu.core_id
+                attr_lane = MAIN_LANE if main_thread else core
                 if main_thread or not cpu.parallel:
                     actual_lane = MAIN_LANE
                 else:
-                    actual_lane = cpu.core_id
-                window = (cpu.keeper.current_time()
-                          // cpu.host_ledger.window_size)
-                fold.record(window, attr_lane, actual_lane, nanoseconds,
-                            category)
+                    actual_lane = core
+                fold.record(keeper.current_time_ps() // ledger.window_ps,
+                            attr_lane, actual_lane, nanoseconds, category)
             return bill_host_time
 
         entry.wraps.wrap(cpu, "bill_host_time", make_bill)
@@ -189,17 +187,19 @@ class Obs:
 
     # -- window snapshots ----------------------------------------------------
     def _on_window(self, entry: _PlatformEntry, record: WindowRecord) -> None:
-        entry.cumulative_wall_ns += record.wall_ns
-        entry.windows_closed += 1
-        for lane in record.busy_ns:
-            entry.lanes_cache.setdefault(lane)
-        self.streamer.offer(self._window_snapshot(entry, record))
+        # Snapshots are built only for a sink to receive; the streamer's
+        # offered/forwarded/dropped stats count every window either way.
+        streamer = self.streamer
+        seq = streamer.admit()
+        if seq is not None and streamer.sinks:
+            streamer.deliver(seq, self._window_snapshot(entry, record))
 
     def _window_snapshot(self, entry: _PlatformEntry,
                          record: WindowRecord) -> dict:
         from .attribution import PHASES, lane_name
+        fold = entry.fold
         lanes = {}
-        for lane in sorted(entry.lanes_cache):
+        for lane in sorted(fold.closed_lanes()):
             busy = record.busy_ns.get(lane, 0.0)
             phases = record.phases.get(lane, {})
             lanes[lane_name(lane)] = {
@@ -210,7 +210,7 @@ class Obs:
                            if phases.get(p, 0.0) > 0.0},
             }
         instructions = entry.instructions()
-        wall_ns = entry.cumulative_wall_ns
+        wall_ns = fold.closed_wall_ns
         return {
             "platform": entry.key,
             "window": record.window,
@@ -236,12 +236,18 @@ class Obs:
         entry.sim_time_ps()
         if entry.fold is not None:
             entry.fold.finalize()
-            self.streamer.offer({
-                "platform": entry.key,
-                "final": True,
-                "summary": self._summary(entry).to_json(),
-                "stream": self.streamer.stats(),
-            }, force=True)
+            streamer = self.streamer
+            # The terminal snapshot reports the stats from before its own
+            # admission, and like the windows is built only for a sink.
+            stats = streamer.stats() if streamer.sinks else None
+            seq = streamer.admit(force=True)
+            if streamer.sinks:
+                streamer.deliver(seq, {
+                    "platform": entry.key,
+                    "final": True,
+                    "summary": self._summary(entry).to_json(),
+                    "stream": stats,
+                })
         entry.wraps.restore()
         vp, entry.vp = entry.vp, None
         if vp is not None and getattr(vp, "obs", None) is self:

@@ -185,23 +185,40 @@ class ObsStreamer:
         ``force`` bypasses stride and cap (the terminal summary snapshot
         must always reach the sinks).
         """
+        seq = self.admit(force)
+        if seq is None:
+            return False
+        self.deliver(seq, dict(snapshot))
+        return True
+
+    def admit(self, force: bool = False) -> Optional[int]:
+        """Account one offered snapshot; its ``seq`` if it is forwarded.
+
+        :meth:`offer` is ``admit`` + :meth:`deliver`.  A producer whose
+        snapshots are costly to build (:mod:`repro.obs.engine`) admits
+        first and builds only when a seq comes back and :attr:`sinks` is
+        non-empty; the stats are the same either way.
+        """
         seq = self.seq
         self.seq += 1
         if not force:
             if seq % self.every != 0:
                 self.dropped_stride += 1
-                return False
+                return None
             if (self.max_snapshots is not None
                     and self.forwarded >= self.max_snapshots):
                 self.dropped_cap += 1
-                return False
-        snapshot = dict(snapshot)
+                return None
+        self.forwarded += 1
+        return seq
+
+    def deliver(self, seq: int, snapshot: dict) -> None:
+        """Stamp an admitted snapshot (owned by the streamer from here on)
+        and send it to every sink."""
         snapshot.setdefault("schema", SNAPSHOT_SCHEMA)
         snapshot["seq"] = seq
         for sink in self.sinks:
             sink.send(snapshot)
-        self.forwarded += 1
-        return True
 
     def close(self) -> None:
         for sink in self.sinks:

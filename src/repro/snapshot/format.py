@@ -117,8 +117,23 @@ def read_container(path: str) -> Tuple[dict, Dict[str, bytes]]:
         offset += count
         return chunk
 
+    def inflate(what: str, packed: bytes) -> bytes:
+        try:
+            return zlib.decompress(packed)
+        except zlib.error as exc:
+            raise SnapshotError(
+                f"{path}: {what} is not valid zlib data: {exc}") from None
+
     (zlen,) = struct.unpack(">I", take(4))
-    manifest = json.loads(zlib.decompress(take(zlen)).decode("utf-8"))
+    try:
+        manifest = json.loads(inflate("manifest", take(zlen)).decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; nesting too
+    # deep for the parser is a RecursionError.
+    except (ValueError, RecursionError) as exc:
+        raise SnapshotError(f"{path}: manifest is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SnapshotError(
+            f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format") != FORMAT:
         raise SnapshotError(
             f"{path}: unsupported snapshot format {manifest.get('format')!r} "
@@ -126,9 +141,13 @@ def read_container(path: str) -> Tuple[dict, Dict[str, bytes]]:
     (count,) = struct.unpack(">I", take(4))
     blobs: Dict[str, bytes] = {}
     for _ in range(count):
-        sha = take(64).decode("ascii")
+        raw_sha = take(64)
+        try:
+            sha = raw_sha.decode("ascii")
+        except UnicodeDecodeError:
+            raise SnapshotError(f"{path}: blob id {raw_sha!r} is not ascii") from None
         raw_len, zlen = struct.unpack(">II", take(8))
-        blob = zlib.decompress(take(zlen))
+        blob = inflate(f"blob {sha}", take(zlen))
         if len(blob) != raw_len or blob_digest(blob) != sha:
             raise SnapshotError(f"{path}: blob {sha} failed integrity check")
         blobs[sha] = blob
@@ -147,7 +166,10 @@ def encode_trace(entries) -> Optional[bytes]:
 def decode_trace(blob: bytes):
     """Inverse of :func:`encode_trace`."""
     entries = []
-    for line in zlib.decompress(blob).decode("utf-8").splitlines():
-        kind, time_ps, name = line.split("|", 2)
-        entries.append((kind, int(time_ps), name))
+    try:
+        for line in zlib.decompress(blob).decode("utf-8").splitlines():
+            kind, time_ps, name = line.split("|", 2)
+            entries.append((kind, int(time_ps), name))
+    except (zlib.error, ValueError) as exc:
+        raise SnapshotError(f"trace blob is corrupt: {exc}") from None
     return entries

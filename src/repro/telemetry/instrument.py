@@ -42,12 +42,51 @@ from typing import Callable, List, Optional, Tuple
 
 from ..systemc.kernel import Kernel
 from ..vcml.processor import SimulateAction
-from .metrics import MetricsRegistry
+from .metrics import LazySeries, MetricsRegistry
 from .spans import HostTimeline, SpanRecorder
 from .wrapping import WrapSet
 
 #: fraction-valued histogram bounds (quantum utilization)
 FRACTION_BUCKETS = tuple(i / 10 for i in range(1, 11)) + (1.5, 2.0)
+
+
+class _Series:
+    """A scope's per-event instruments, bound on their first observation.
+
+    Each attribute is a :class:`LazySeries` keyed by core (and then by exit
+    reason or fabric path): a tap looks its instrument up with plain dict
+    hits, shared by every platform of the scope, and a tap that never fires
+    registers no empty series.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        def keyed(make, name: str, label: str, **labels) -> LazySeries:
+            return LazySeries(
+                lambda value: make(name, **{label: value}, **labels))
+
+        def per_core(make, name: str, label: str, **labels) -> LazySeries:
+            return LazySeries(
+                lambda core: keyed(make, name, label, core=core, **labels))
+
+        counter, histogram = registry.counter, registry.histogram
+        self.syncs = keyed(counter, "quantum.syncs", "core")
+        self.utilization = keyed(histogram, "quantum.utilization", "core",
+                                 buckets=FRACTION_BUCKETS)
+        self.skipped_cycles = keyed(counter, "wfi.skipped_cycles", "core")
+        self.suspends = keyed(counter, "wfi.suspends", "core")
+        self.blocked_runs = keyed(counter, "wfi.blocked_runs", "core")
+        self.instructions = keyed(counter, "kvm.instructions", "core")
+        self.mmio_roundtrip = keyed(histogram, "kvm.mmio_roundtrip_ns", "core")
+        self.exits = per_core(counter, "kvm.exits", "reason")
+        self.exit_wall = keyed(histogram, "kvm.exit_wall_ns", "reason")
+        self.exit_cycles = keyed(histogram, "kvm.exit_cycles", "reason")
+        self.accesses = per_core(counter, "fabric.accesses", "path")
+        self.errors = per_core(counter, "fabric.errors", "path")
+        self.armed = keyed(counter, "watchdog.armed", "core")
+        self.fired = keyed(counter, "watchdog.fired", "core")
+        self.fire_margin = keyed(histogram, "watchdog.fire_margin_ns", "core")
+        self.kicks_delivered = keyed(counter, "watchdog.kicks_delivered", "core")
+        self.kicks_stale = keyed(counter, "watchdog.kicks_stale", "core")
 
 
 class Telemetry:
@@ -57,6 +96,7 @@ class Telemetry:
         # `is not None`, not truthiness: an empty registry is falsy via
         # __len__ but is still the caller's registry to share.
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._series = _Series(self.registry)
         #: simulated-time spans (picoseconds): WFI suspend→resume pairs
         self.sim_spans = SpanRecorder(unit="ps")
         #: (key, platform, HostTimeline or None) per attached platform
@@ -104,14 +144,18 @@ class Telemetry:
         method_counter = registry.counter("kernel.dispatch", kind="method")
         depth_gauge = registry.gauge("kernel.runnable_depth")
 
+        runnable = kernel._runnable
+
         def hook(kind: str, time_ps: int, name: str) -> None:
             # Chain to the class-level hook (the determinism checker) first:
             # shadowing it would silently blind DET001.
             class_hook = Kernel.trace_hook
             if class_hook is not None:
                 class_hook(kind, time_ps, name)
-            (step_counter if kind == "step" else method_counter).inc()
-            depth_gauge.set(len(kernel._runnable))
+            # Runs on every dispatch: a bare increment, not Counter.inc()
+            # and its sign check.
+            (step_counter if kind == "step" else method_counter).value += 1
+            depth_gauge.set(len(runnable))
 
         # A plain undoable set, not a wrap: the hook must chain to the
         # *class-level* attribute at call time, not to a captured original.
@@ -119,7 +163,7 @@ class Telemetry:
 
     # -- watchdog -------------------------------------------------------------
     def _attach_watchdog(self, watchdog) -> None:
-        registry = self.registry
+        series = self._series
         # The watchdog thread's current wakeup time, shared by the wrappers
         # below.  A one-slot list, not an attribute of self: armed entries
         # keep their observed_callback closures alive after detach, and
@@ -128,16 +172,15 @@ class Telemetry:
 
         def make_schedule(original):
             def schedule(core_id, now_ns, timeout_ns, callback, **meta):
-                registry.counter("watchdog.armed", core=core_id).inc()
+                series.armed[core_id].inc()
                 deadline_ns = now_ns + timeout_ns
 
                 def observed_callback():
-                    registry.counter("watchdog.fired", core=core_id).inc()
+                    series.fired[core_id].inc()
                     fire_now = watchdog_now[0]
                     if fire_now is not None:
-                        registry.histogram(
-                            "watchdog.fire_margin_ns", core=core_id,
-                        ).observe(fire_now - deadline_ns)
+                        series.fire_margin[core_id].observe(
+                            fire_now - deadline_ns)
                     callback()
 
                 return original(core_id, now_ns, timeout_ns, observed_callback,
@@ -161,24 +204,22 @@ class Telemetry:
 
     # -- CPU cores ---------------------------------------------------------------
     def _attach_cpu(self, platform_key: str, cpu) -> None:
-        registry = self.registry
+        series = self._series
         core = cpu.core_id
+        keeper = cpu.keeper
 
         # Quantum keeper: utilization at every sync.
-        quantum_ref = cpu.keeper.global_quantum
+        global_quantum = keeper.global_quantum
 
         def make_sync_wait(original):
             def sync_wait():
-                quantum_ps = quantum_ref.quantum.picoseconds
-                offset_ps = cpu.keeper.local_time_offset.picoseconds
-                registry.counter("quantum.syncs", core=core).inc()
-                registry.histogram("quantum.utilization",
-                                   buckets=FRACTION_BUCKETS,
-                                   core=core).observe(offset_ps / quantum_ps)
+                series.syncs[core].inc()
+                series.utilization[core].observe(
+                    keeper._offset_ps / global_quantum.quantum_ps)
                 return original()
             return sync_wait
 
-        self._wrap(cpu.keeper, "sync_wait", make_sync_wait)
+        self._wrap(keeper, "sync_wait", make_sync_wait)
 
         # WFI / WAIT_IRQ: suspend counter, skipped idle cycles, span pairs.
         suspend_track = f"{platform_key}.core{core}"
@@ -188,24 +229,21 @@ class Telemetry:
             def simulate(cycles):
                 if pending_suspend:
                     begin_ps = pending_suspend.pop()
-                    now_ps = cpu.keeper.current_time().picoseconds
-                    skipped_ps = max(0, now_ps - begin_ps)
+                    skipped_ps = max(0, keeper.current_time_ps() - begin_ps)
                     skipped_cycles = int(round(
                         skipped_ps * 1e-12 * cpu.clock_hz))
-                    registry.counter("wfi.skipped_cycles",
-                                     core=core).inc(skipped_cycles)
+                    series.skipped_cycles[core].inc(skipped_cycles)
                     self.sim_spans.complete(suspend_track, "wfi_suspend",
                                             begin_ps, skipped_ps, core=core)
                 result = original(cycles)
                 # Pure observer: WAIT_IRQ is the only action with a metric;
                 # every other action passes through untouched by design.
                 if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                    registry.counter("wfi.suspends", core=core).inc()
+                    series.suspends[core].inc()
                     # The core will realize `result.cycles` of local time,
                     # sync, then sleep: the suspend begins there.
-                    resume_base = (cpu.keeper.current_time()
-                                   + cpu.cycles_to_time(result.cycles))
-                    pending_suspend.append(resume_base.picoseconds)
+                    pending_suspend.append(keeper.current_time_ps()
+                                           + cpu.clk.cycles_to_ps(result.cycles))
                 return result
             return simulate
 
@@ -216,30 +254,31 @@ class Telemetry:
         # ships with on_access=None, so there is no original to chain.
         mem = getattr(cpu, "mem", None)
         if mem is not None:
+            accesses, errors = series.accesses[core], series.errors[core]
+
             def on_access(path: str, ok: bool) -> None:
-                registry.counter("fabric.accesses", core=core, path=path).inc()
+                accesses[path].inc()
                 if not ok:
-                    registry.counter("fabric.errors", core=core, path=path).inc()
+                    errors[path].inc()
 
             self._wraps.set(mem, "on_access", on_access)
 
         # KVM-specific probes (duck-typed: IssCpu has no vcpu/kick path).
         vcpu = getattr(cpu, "vcpu", None)
         if vcpu is not None:
+            exits = series.exits[core]
+
             def make_run(original):
                 def run(wall_budget_ns, speed_factor=1.0):
                     exit_info = original(wall_budget_ns, speed_factor)
                     reason = exit_info.reason.value
-                    registry.counter("kvm.exits", core=core, reason=reason).inc()
-                    registry.histogram("kvm.exit_wall_ns",
-                                       reason=reason).observe(exit_info.wall_ns)
-                    registry.histogram("kvm.exit_cycles",
-                                       reason=reason).observe(exit_info.instructions)
+                    exits[reason].inc()
+                    series.exit_wall[reason].observe(exit_info.wall_ns)
+                    series.exit_cycles[reason].observe(exit_info.instructions)
                     if exit_info.instructions:
-                        registry.counter("kvm.instructions",
-                                         core=core).inc(exit_info.instructions)
+                        series.instructions[core].inc(exit_info.instructions)
                     if exit_info.blocked_in_wfi:
-                        registry.counter("wfi.blocked_runs", core=core).inc()
+                        series.blocked_runs[core].inc()
                     return exit_info
                 return run
 
@@ -249,9 +288,8 @@ class Telemetry:
                 def handle_mmio(request):
                     before_ns = cpu.host_now_ns
                     consumed = original(request)
-                    registry.histogram(
-                        "kvm.mmio_roundtrip_ns", core=core,
-                    ).observe(cpu.host_now_ns - before_ns)
+                    series.mmio_roundtrip[core].observe(
+                        cpu.host_now_ns - before_ns)
                     return consumed
                 return handle_mmio
 
@@ -265,11 +303,9 @@ class Telemetry:
                     filtered = guard.num_kicks_filtered
                     original(kick_id)
                     if guard.num_kicks_delivered > delivered:
-                        registry.counter("watchdog.kicks_delivered",
-                                         core=core).inc()
+                        series.kicks_delivered[core].inc()
                     if guard.num_kicks_filtered > filtered:
-                        registry.counter("watchdog.kicks_stale",
-                                         core=core).inc()
+                        series.kicks_stale[core].inc()
                 return kick
 
             self._wrap(guard, "kick", make_kick)

@@ -20,7 +20,8 @@ fed in by the instrumentation layer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, object], ...]
 
@@ -92,8 +93,13 @@ class Gauge(Instrument):
 
     def set(self, value: float) -> None:
         self.value = value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None:
+            self.min = self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
         self.updates += 1
 
     def to_json(self) -> Dict[str, object]:
@@ -119,13 +125,21 @@ class Histogram(Instrument):
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        if self.min is None:
+            self.min = self.max = value
+        else:
+            # min()/max() semantics: replace only on a strict improvement.
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+        # The first inclusive upper bound at or above ``value``; past the
+        # last bound (and NaN, which compares false with every bound) is
+        # the +inf overflow bucket.
+        if value == value:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        else:
+            self.bucket_counts[-1] += 1
 
     @property
     def mean(self) -> float:
@@ -159,6 +173,26 @@ class Histogram(Instrument):
                 occupied[key] = bucket_count
         return {"count": self.count, "sum": self.sum, "min": self.min,
                 "max": self.max, "buckets": occupied}
+
+
+class LazySeries(dict):
+    """One metric's series keyed by a varying label, bound on first use.
+
+    ``series[key]`` is a plain dict hit from the second observation on; a
+    miss calls ``make(key)`` (a registry get-or-create).  A tap that never
+    fires therefore registers no empty series, exactly like calling the
+    registry on every event would.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[object], Instrument]):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key) -> Instrument:
+        instrument = self[key] = self._make(key)
+        return instrument
 
 
 class MetricsRegistry:

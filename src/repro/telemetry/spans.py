@@ -98,8 +98,9 @@ class HostTimeline:
 
     def __init__(self, ledger):
         self.ledger = ledger
-        #: window -> ordered list of (lane, nanoseconds, category)
-        self._events: Dict[int, List[Tuple[int, float, str]]] = {}
+        #: window -> its billing events in arrival order, flattened as
+        #: ``[lane, nanoseconds, category, lane, ...]`` (no object per event)
+        self._events: Dict[int, list] = {}
         self._previous_observer = getattr(ledger, "observer", None)
         ledger.observer = self._observe
 
@@ -108,7 +109,10 @@ class HostTimeline:
                  category: str) -> None:
         if self._previous_observer is not None:
             self._previous_observer(window, lane, nanoseconds, category)
-        self._events.setdefault(window, []).append((lane, nanoseconds, category))
+        events = self._events.get(window)
+        if events is None:
+            events = self._events[window] = []
+        events += lane, nanoseconds, category
 
     def detach(self) -> None:
         if getattr(self.ledger, "observer", None) is not None:
@@ -130,7 +134,7 @@ class HostTimeline:
         spans: List[Span] = []
         cursor = 0.0
         for window in sorted(self._events):
-            events = self._events[window]
+            events = self._window(window)
             lane_totals: Dict[int, float] = {}
             for lane, nanoseconds, _category in events:
                 lane_totals[lane] = lane_totals.get(lane, 0.0) + nanoseconds
@@ -171,9 +175,14 @@ class HostTimeline:
     def window_count(self) -> int:
         return len(self._events)
 
+    def _window(self, window: int) -> List[Tuple[int, float, str]]:
+        """One window's ``(lane, nanoseconds, category)`` events, in order."""
+        flat = iter(self._events[window])
+        return list(zip(flat, flat, flat))
+
     def window_events(self) -> Dict[int, List[Tuple[int, float, str]]]:
         """Per-window billing events in arrival order (read-only copy)."""
-        return {window: list(events) for window, events in self._events.items()}
+        return {window: self._window(window) for window in self._events}
 
     # -- derived views (Perfetto enrichment) ---------------------------------
     def window_table(self) -> List[Tuple[int, float, float, Dict[str, float]]]:
@@ -188,7 +197,7 @@ class HostTimeline:
         cursor = 0.0
         for window in sorted(self._events):
             lane_totals: Dict[int, float] = {}
-            for lane, nanoseconds, _category in self._events[window]:
+            for lane, nanoseconds, _category in self._window(window):
                 lane_totals[lane] = lane_totals.get(lane, 0.0) + nanoseconds
             span = self.ledger.window_span_ns(lane_totals)
             busy = {self.lane_track(lane): total
@@ -214,7 +223,7 @@ class HostTimeline:
         flows = []
         cursor = 0.0
         for window in sorted(self._events):
-            events = self._events[window]
+            events = self._window(window)
             lane_totals: Dict[int, float] = {}
             lane_cursor: Dict[int, float] = {}
             pending: List[Tuple[int, float]] = []   # (lane, begin) of requests

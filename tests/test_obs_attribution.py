@@ -13,6 +13,8 @@ The central invariants:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.determinism import trace_run
 from repro.arch.assembler import assemble
@@ -21,7 +23,8 @@ from repro.host.accounting import HostLedger
 from repro.host.machine import MAIN_LANE, apple_m2_pro
 from repro.obs import SubscriberSink, enable_obs, observing
 from repro.obs.attribution import (AttributionFold, CATEGORY_PHASES, PHASES,
-                                   render_summary, summarize_timeline)
+                                   lane_name, phase_of, render_summary,
+                                   summarize_timeline)
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
@@ -153,7 +156,7 @@ class TestFold:
         live = fold.summary(include_open=True)
         assert live.window_count == 1
         assert live.wall_time_ns == ledger.wall_time_ns()
-        assert fold.records() == []                    # still open
+        assert fold.summary().window_count == 0        # still open
         fold.finalize()
         assert fold.summary().wall_time_ns == live.wall_time_ns
 
@@ -168,6 +171,131 @@ class TestFold:
         summary = fold.summary(num_cores=2)
         assert summary.projected_parallel_speedup == 2.0
         assert summary.projected_parallel_efficiency == 1.0
+
+
+class RefoldReference:
+    """The fold as a refold: keep every window's events, fold at the end.
+
+    Events land per window in billing order and every summary refolds
+    every window from scratch, the simple way to get the same floats the
+    ledger accumulates.  :class:`AttributionFold` adds each event into
+    running sums instead; the two must agree to the last bit.
+    """
+
+    def __init__(self, ledger):
+        self.ledger = ledger
+        self.open = {}              # window -> [(attr, actual, ns, category)]
+        self.dispatches = {}
+        self.closed = []            # (window, events, dispatches)
+        self.lanes_seen = {MAIN_LANE: None}
+        self.late = 0
+
+    def _is_late(self, window):
+        return bool(self.closed) and window <= self.closed[-1][0]
+
+    def record(self, window, attr, actual, ns, category):
+        if self._is_late(window):
+            self.late += 1
+            return
+        self.open.setdefault(window, []).append((attr, actual, ns, category))
+        self.lanes_seen.setdefault(attr)
+
+    def record_dispatch(self, window):
+        if not self._is_late(window):
+            self.dispatches[window] = self.dispatches.get(window, 0) + 1
+
+    def advance_to(self, time_ps):
+        boundary = time_ps // self.ledger.window_ps
+        for window in [w for w in self.open if w < boundary]:
+            self.closed.append((window, self.open.pop(window),
+                                self.dispatches.pop(window, 0)))
+
+    def _fold(self, events):
+        actual, busy, phases = {}, {}, {}
+        for attr, lane, ns, category in events:
+            actual[lane] = actual.get(lane, 0.0) + ns
+            busy[attr] = busy.get(attr, 0.0) + ns
+            lane_phases = phases.setdefault(attr, {})
+            phase = phase_of(category)
+            lane_phases[phase] = lane_phases.get(phase, 0.0) + ns
+        wall = self.ledger.window_span_ns(actual)
+        fold_busy = (max(busy.values()) if self.ledger.parallel
+                     else sum(busy.values()))
+        return wall, busy, phases, fold_busy
+
+    def summary(self, include_open=False):
+        windows = list(self.closed)
+        if include_open:
+            windows += [(w, ev, self.dispatches.get(w, 0))
+                        for w, ev in self.open.items()]
+        lanes = {lane_name(lane): {} for lane in self.lanes_seen}
+        names = {lane_name(lane): lane for lane in self.lanes_seen}
+        lane_wall = dict.fromkeys(lanes, 0.0)
+        wall_total = busy_sum = busy_max = 0.0
+        dispatches = 0
+        for _window, events, window_dispatches in windows:
+            wall, busy, phases, fold_busy = self._fold(events)
+            wall_total += wall
+            busy_sum += sum(busy.values())
+            busy_max += max(busy.values())
+            dispatches += window_dispatches
+            for lane, lane_phases in phases.items():
+                target = lanes[lane_name(lane)]
+                for phase, ns in lane_phases.items():
+                    target[phase] = target.get(phase, 0.0) + ns
+            for name, target in lanes.items():
+                lane_wall[name] += wall
+                target["barrier_idle"] = target.get("barrier_idle", 0.0) + (
+                    fold_busy - busy.get(names[name], 0.0))
+                target["overhead"] = (target.get("overhead", 0.0)
+                                      + (wall - fold_busy))
+        return (len(windows), wall_total, lanes, lane_wall, busy_sum,
+                busy_max, dispatches, self.late)
+
+
+def _as_tuple(summary):
+    return (summary.window_count, summary.wall_time_ns, summary.lanes,
+            summary.lane_wall_ns, summary.busy_sum_ns, summary.busy_max_ns,
+            summary.dispatches, summary.late_events)
+
+
+_LANES = st.sampled_from([MAIN_LANE, 0, 1, 2, 3])
+_STEPS = st.one_of(
+    st.tuples(st.just("bill"), st.integers(0, 5), _LANES,
+              st.floats(0.001, 1e6, allow_nan=False),
+              st.sampled_from(sorted(CATEGORY_PHASES) + ["other"])),
+    st.tuples(st.just("dispatch"), st.integers(0, 5)),
+    st.tuples(st.just("advance"), st.integers(0, 6)),
+    st.tuples(st.just("peek")),
+)
+
+
+class TestIncrementalFold:
+    """Running sums give the floats a full refold gives, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parallel=st.booleans(), steps=st.lists(_STEPS, max_size=60))
+    def test_matches_refold(self, parallel, steps):
+        ledger = make_ledger(parallel=parallel, num_cores=4)
+        fold, reference = AttributionFold(ledger), RefoldReference(ledger)
+        for step in steps:
+            if step[0] == "bill":
+                _, window, lane, ns, category = step
+                actual = lane if (parallel and lane != MAIN_LANE) else MAIN_LANE
+                fold.record(window, lane, actual, ns, category)
+                reference.record(window, lane, actual, ns, category)
+            elif step[0] == "dispatch":
+                fold.record_dispatch(step[1])
+                reference.record_dispatch(step[1])
+            elif step[0] == "advance":
+                fold.advance_to(step[1] * ledger.window_ps)
+                reference.advance_to(step[1] * ledger.window_ps)
+            else:
+                assert (_as_tuple(fold.summary(include_open=True))
+                        == reference.summary(include_open=True))
+        assert _as_tuple(fold.summary()) == reference.summary()
+        assert (_as_tuple(fold.summary(include_open=True))
+                == reference.summary(include_open=True))
 
 
 @pytest.mark.parametrize("kind", ["aoa", "avp64"])
@@ -306,6 +434,34 @@ class TestEngineLifecycle:
         for snapshot in seen[:-1]:
             for lane in snapshot["lanes"].values():
                 assert 0.0 <= lane["utilization"] <= 1.0 + 1e-9
+
+
+    @pytest.mark.parametrize("every,cap", [(1, None), (3, 2)])
+    def test_snapshots_are_built_only_for_a_sink(self, monkeypatch, every,
+                                                  cap):
+        """Without a sink no snapshot is built, and the stream stats count
+        every window exactly as with one."""
+        from repro.obs.engine import Obs
+
+        seen = []
+        vp = make_vp(cores=2)
+        with_sink = enable_obs(vp, sinks=[SubscriberSink(seen.append)],
+                               every=every, max_snapshots=cap)
+        vp.run(SimTime.ms(50))
+        with_sink.detach()
+
+        def no_build(*_args):
+            raise AssertionError("snapshot built with no sink")
+
+        monkeypatch.setattr(Obs, "_window_snapshot", no_build)
+        monkeypatch.setattr(Obs, "_summary", no_build)
+        vp = make_vp(cores=2)
+        without = enable_obs(vp, every=every, max_snapshots=cap)
+        vp.run(SimTime.ms(50))
+        without.detach()
+        stats = without.stream_stats()
+        assert stats == dict(with_sink.stream_stats(), sinks=[])
+        assert stats["forwarded"] == len(seen)
 
 
 class TestTimelineFallback:

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import gc
 import json
+import struct
 import weakref
+import zlib
 from pathlib import Path
 
 import pytest
@@ -26,8 +28,11 @@ from repro.snapshot import (
     snapshot_from_flight_bundle,
 )
 from repro.snapshot.format import (
+    MAGIC,
     blob_digest,
     canonical_manifest_bytes,
+    decode_trace,
+    encode_trace,
     read_container,
     split_pages,
     write_container,
@@ -128,6 +133,109 @@ class TestFormat:
         written = snapshot.save(str(path))
         assert written == path.stat().st_size
         assert Snapshot.load(str(path)).snapshot_id == snapshot.snapshot_id
+
+
+def raw_container(manifest_packed: bytes, blobs=()) -> bytes:
+    """Container bytes with a caller-packed manifest and raw blob records."""
+    out = bytearray(MAGIC)
+    out += struct.pack(">I", len(manifest_packed)) + manifest_packed
+    out += struct.pack(">I", len(blobs))
+    for sha, data in blobs:
+        packed = zlib.compress(data)
+        out += sha + struct.pack(">II", len(data), len(packed)) + packed
+    return bytes(out)
+
+
+class TestReaderErrors:
+    """Every malformed container surfaces as :class:`SnapshotError`."""
+
+    GOOD_MANIFEST = zlib.compress(b'{"format":"repro.snapshot/1"}')
+
+    @pytest.mark.parametrize("raw", [
+        raw_container(b"not zlib at all"),
+        raw_container(zlib.compress(b"{not json")),
+        raw_container(zlib.compress(b"\xff\xfe")),
+        raw_container(zlib.compress(b"[1, 2, 3]")),
+        raw_container(zlib.compress(b"[" * 100_000)),
+        raw_container(GOOD_MANIFEST, [(b"\xff" * 64, b"page")]),
+        raw_container(GOOD_MANIFEST, [(blob_digest(b"page").encode(), b"page")])[:-3],
+    ], ids=["garbled-manifest", "bad-json", "bad-utf8", "json-list",
+            "deep-nesting", "non-ascii-blob-id", "truncated-blob"])
+    def test_malformed_container(self, tmp_path, raw):
+        path = tmp_path / "bad.rsnap"
+        path.write_bytes(raw)
+        with pytest.raises(SnapshotError):
+            read_container(str(path))
+
+    def test_garbled_blob(self, tmp_path):
+        sha = blob_digest(b"page").encode()
+        record = sha + struct.pack(">II", 4, 5) + b"12345"
+        path = tmp_path / "bad.rsnap"
+        path.write_bytes(raw_container(self.GOOD_MANIFEST)[:-4]
+                         + struct.pack(">I", 1) + record)
+        with pytest.raises(SnapshotError):
+            read_container(str(path))
+
+    @pytest.mark.parametrize("blob", [b"garbage", zlib.compress(b"no-separators"),
+                                      zlib.compress(b"step|12x|p"),
+                                      zlib.compress(b"\xff|1|p")],
+                             ids=["not-zlib", "no-separators", "bad-time",
+                                  "bad-utf8"])
+    def test_corrupt_trace_blob(self, blob):
+        with pytest.raises(SnapshotError):
+            decode_trace(blob)
+
+    def test_trace_round_trips(self):
+        entries = [("step", 0, "a.b"), ("method", 1000, "c|d")]
+        assert decode_trace(encode_trace(entries)) == entries
+
+
+@pytest.fixture(scope="module")
+def real_container(aoa_warm, tmp_path_factory):
+    """The bytes of a real 2-core ``.rsnap`` with a trace prefix."""
+    _, snapshot = aoa_warm
+    path = tmp_path_factory.mktemp("fuzz") / "boot.rsnap"
+    snapshot.save(str(path))
+    return path, path.read_bytes()
+
+
+def _load_fully(path):
+    snapshot = Snapshot.load(str(path))
+    trace = snapshot.manifest.get("trace")
+    if trace is not None:
+        decode_trace(snapshot.blob(trace["sha"]))
+
+
+class TestReaderFuzz:
+    """Truncations and byte flips of a real container: only SnapshotError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_container_raises_only_snapshot_error(self, real_container,
+                                                          data):
+        path, raw = real_container
+        mutated = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            index = data.draw(st.integers(0, len(mutated) - 1), label="index")
+            mutated[index] ^= data.draw(st.integers(1, 255), label="mask")
+        if data.draw(st.booleans(), label="truncate"):
+            mutated = mutated[:data.draw(st.integers(0, len(mutated) - 1),
+                                         label="length")]
+        fuzzed = path.with_name("fuzzed.rsnap")
+        fuzzed.write_bytes(bytes(mutated))
+        try:
+            _load_fully(fuzzed)
+        except SnapshotError:
+            pass
+
+    def test_every_truncation_is_rejected(self, real_container):
+        path, raw = real_container
+        _load_fully(path)
+        fuzzed = path.with_name("truncated.rsnap")
+        for length in range(0, len(raw), max(1, len(raw) // 300)):
+            fuzzed.write_bytes(raw[:length])
+            with pytest.raises(SnapshotError):
+                _load_fully(fuzzed)
 
 
 # -- canonical ordering --------------------------------------------------------------

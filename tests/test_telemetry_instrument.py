@@ -115,6 +115,14 @@ def run_instrumented(**kwargs):
 
 
 class TestAttachment:
+    def test_attach_registers_no_event_series(self):
+        """Event series are bound on first observation, so an attached
+        platform that never ran exports only the scheduler series."""
+        telemetry = enable_telemetry(make_vp(kind="aoa", cores=2))
+        enable_telemetry(make_vp(kind="avp64", cores=2), telemetry.registry)
+        assert telemetry.registry.names() == ["kernel.dispatch",
+                                              "kernel.runnable_depth"]
+
     def test_enable_is_idempotent(self):
         vp = make_vp()
         telemetry = enable_telemetry(vp)

@@ -1,8 +1,13 @@
 """Unit tests for the telemetry metrics registry and span recorders."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry import MetricsRegistry, SpanRecorder
+from repro.telemetry.instrument import FRACTION_BUCKETS
 from repro.telemetry.metrics import DEFAULT_BUCKETS
 
 
@@ -200,3 +205,45 @@ class TestMetricsEdgeCases:
         assert after["num_series"] == 3
         by_name = {m["name"]: m for m in after["metrics"]}
         assert by_name["events"]["series"][0]["value"] == 42
+
+
+def _linear_bucket(bounds, value):
+    """Reference bucket index: the first inclusive upper bound, else +inf."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
+def _bucket_values(bounds):
+    """On-bound values, their float neighbours, negatives, infinities, NaN."""
+    edges = st.sampled_from(bounds).flatmap(lambda bound: st.sampled_from(
+        (bound, math.nextafter(bound, -math.inf),
+         math.nextafter(bound, math.inf), -bound)))
+    return st.one_of(edges, st.floats(allow_nan=True, allow_infinity=True),
+                     st.integers(-10 ** 12, 10 ** 12),
+                     st.sampled_from((0, 0.0, -0.0, math.inf, -math.inf,
+                                      math.nan)))
+
+
+class TestHistogramBuckets:
+    """``observe`` places every value where a linear scan of the bounds does."""
+
+    @pytest.mark.parametrize("bounds", [DEFAULT_BUCKETS, FRACTION_BUCKETS],
+                             ids=["default", "fraction"])
+    @given(data=st.data())
+    def test_observe_matches_linear_scan(self, bounds, data):
+        values = data.draw(st.lists(_bucket_values(bounds), max_size=40))
+        histogram = MetricsRegistry().histogram("h", buckets=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            histogram.observe(value)
+            expected[_linear_bucket(bounds, value)] += 1
+        assert histogram.bucket_counts == expected
+        assert histogram.count == len(values)
+
+    def test_nan_lands_in_overflow(self):
+        histogram = MetricsRegistry().histogram("h")
+        histogram.observe(math.nan)
+        assert histogram.bucket_counts[-1] == 1
+        assert histogram.to_json()["buckets"] == {"+inf": 1}
